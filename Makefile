@@ -4,8 +4,8 @@
 export PYTHONPATH := src
 
 .PHONY: install test test-chaos test-tiering bench bench-json bench-service \
-	bench-ratchet artifacts examples all clean lint lint-graph lint-threads \
-	lint-exceptions lint-imports coverage-storage racecheck
+	bench-ratchet bench-e2e-check artifacts examples all clean lint lint-graph \
+	lint-threads lint-exceptions lint-imports coverage-storage racecheck
 
 install:
 	python setup.py develop
@@ -46,14 +46,16 @@ lint:
 
 # Whole-program phase only: the v2 analyses (ARCH009 layering DAG, ARCH010
 # secret-taint dataflow, ARCH011 error taxonomy) over the library, judged
-# against the committed archlint_baseline.json ratchet.
+# against the committed archlint_baseline.json ratchet.  A standalone
+# subset of `lint` for quick iteration; `all` runs `lint` instead.
 lint-graph:
 	PYTHONPATH=tools:$(PYTHONPATH) python -m archlint --select ARCH009,ARCH010,ARCH011 src/repro
 
 # Concurrency safety only: ARCH012 (thread-reachability + lock discipline
 # over shared mutable state, with the GIL-atomic allowlist from
 # [tool.archlint.concurrency]) and ARCH013 (every lru_cache'd plan/table
-# returns read-only arrays; no caller mutates one) over the library.
+# returns read-only arrays; no caller mutates one) over the library.  A
+# standalone subset of `lint`, like lint-graph.
 lint-threads:
 	PYTHONPATH=tools:$(PYTHONPATH) python -m archlint --select ARCH012,ARCH013 src/repro
 
@@ -76,6 +78,14 @@ lint-imports:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The end-to-end benchmark's self-tests (about 2-3 min): every traced
+# boundary must fire on its workloads, tracing must leave node contents
+# unchanged, and traced counts must repeat exactly.  A program change that
+# silences a boundary the benchmark times fails here, not at the next
+# benchmark run.
+bench-e2e-check:
+	python3 -m pytest e2ebench -q
 
 # Machine-readable throughput summary (BENCH_throughput.json at repo root):
 # regenerate the throughput artifact, then summarize op -> MB/s + commit.
@@ -106,7 +116,9 @@ examples:
 		python $$script || exit 1; \
 	done
 
-all: install lint lint-graph lint-threads test test-tiering racecheck bench bench-json bench-ratchet artifacts
+# lint-graph, lint-threads and test-tiering are left out: `lint` and `test`
+# already run everything they check.
+all: install lint test racecheck bench-e2e-check bench bench-json bench-ratchet artifacts
 
 clean:
 	rm -rf build src/repro.egg-info .pytest_cache

@@ -14,11 +14,16 @@ archival-system-level properties --
   until more key material is generated (:meth:`advance_time`);
 - wire bytes carry zero information: there is no escrow, and
   ``break_open`` always fails, at any epoch, for any timeline;
+- the wire bytes are the pad XOR the payload, derived when read from the
+  consumed pad the :class:`QkdTransmission` carries (see
+  ``repro.channels.base``): a send consumes pad but does no XOR;
 - infrastructure has a capital + per-km cost so the trade-off analysis can
   price the "higher infrastructure costs" the paper's Section 4 weighs.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from repro.channels.base import SecureChannelBase, Transmission
 from repro.crypto.drbg import DeterministicRandom
@@ -26,6 +31,17 @@ from repro.crypto.otp import otp_xor
 from repro.crypto.registry import PrimitiveKind, register_primitive
 from repro.errors import ChannelError, ParameterError
 from repro.security import SecurityNotion
+
+
+@dataclass(frozen=True)
+class QkdTransmission(Transmission):
+    """A one-time-pad message; it carries the pad it consumed, sealed."""
+
+    _pad: bytes = field(default=b"", repr=False)
+
+    @property
+    def wire(self) -> bytes:
+        return otp_xor(self._pad, self._payload)
 
 
 class QkdLink(SecureChannelBase):
@@ -55,9 +71,6 @@ class QkdLink(SecureChannelBase):
         self.distance_km = distance_km
         self._pad = b""
         self.seconds_elapsed = 0.0
-        # QKD gives both endpoints the same key; the receiving side's copy
-        # of each consumed pad is kept here, indexed by sequence number.
-        self._receive_pads: list[bytes] = []
 
     # -- key generation --------------------------------------------------------
 
@@ -86,31 +99,30 @@ class QkdLink(SecureChannelBase):
     # -- channel interface ---------------------------------------------------------
 
     def send(self, plaintext: bytes) -> Transmission:
-        if len(plaintext) > self.pad_available:
+        payload = bytes(plaintext)
+        if len(payload) > self.pad_available:
             raise ChannelError(
-                f"QKD pad exhausted: need {len(plaintext)} bytes, have "
+                f"QKD pad exhausted: need {len(payload)} bytes, have "
                 f"{self.pad_available}; advance_time() to generate more key"
             )
-        pad, self._pad = self._pad[: len(plaintext)], self._pad[len(plaintext) :]
-        wire = otp_xor(pad, plaintext)
-        self.bytes_sent += len(wire)
-        transmission = Transmission(
+        pad, self._pad = self._pad[: len(payload)], self._pad[len(payload) :]
+        self.bytes_sent += len(payload)
+        return QkdTransmission(
             channel=self.name,
             sequence=self._next_sequence(),
-            wire=wire,
+            _payload=payload,
             _escrow=b"",  # nothing any cryptanalysis could ever yield
+            _pad=pad,
         )
-        self._receive_pads.append(pad)
-        return transmission
 
     def receive(self, transmission: Transmission) -> bytes:
         if transmission.channel != self.name:
             raise ChannelError(f"transmission is not from a {self.name} channel")
-        try:
-            pad = self._receive_pads[transmission.sequence]
-        except IndexError:
-            raise ChannelError("no pad recorded for this transmission") from None
-        return otp_xor(pad, transmission.wire)
+        # QKD gives both endpoints the same pad, which the transmission
+        # carries; a sequence this link never sent has no pad here.
+        if not 0 <= transmission.sequence < self._sequence:
+            raise ChannelError("no pad recorded for this transmission")
+        return transmission._payload
 
 
 register_primitive(

@@ -7,9 +7,21 @@ encrypts the payload.  The security classification is the point:
 confidentiality rests on the DLP assumption plus the cipher, so a harvesting
 adversary who records the handshake and the ciphertext decrypts everything
 once either falls -- the scenario the paper's Section 3.2 closes with.
+
+Sending does no cipher work: the returned :class:`TlsTransmission` carries
+the payload and derives its ChaCha20 wire bytes from the session secret and
+the sequence number only when they are read (see ``repro.channels.base``).
+The derivation is deterministic, so ``wire`` is byte-identical to what an
+eager sender would have produced, and the channel's rng is drawn from only
+by the handshake.  The payload the transmission carries is what the node
+stores; recovering that data after an at-rest break is the archival
+system's job, which decodes the shares its nodes hold
+(``repro.systems.base``), not the channel's.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.channels.base import SecureChannelBase, Transmission
 from repro.crypto.chacha20 import chacha20_xor
@@ -21,6 +33,21 @@ from repro.gmath.primes import SchnorrGroup, default_group
 from repro.security import SecurityNotion
 
 _ZERO_NONCE = b"\x00" * 12
+
+
+def _seal(session_secret: bytes, sequence: int, data: bytes) -> bytes:
+    """ChaCha20 under message *sequence*'s key: encrypts and decrypts."""
+    key = hkdf(session_secret, 32, info=f"msg-{sequence}".encode())
+    return chacha20_xor(key, _ZERO_NONCE, data)
+
+
+@dataclass(frozen=True)
+class TlsTransmission(Transmission):
+    """A TLS-like record; its escrow is the session secret."""
+
+    @property
+    def wire(self) -> bytes:
+        return _seal(self._escrow, self.sequence, self._payload)
 
 
 class TlsLikeChannel(SecureChannelBase):
@@ -46,14 +73,15 @@ class TlsLikeChannel(SecureChannelBase):
         )
 
     def send(self, plaintext: bytes) -> Transmission:
-        sequence = self._next_sequence()
-        key = hkdf(self._session_secret, 32, info=f"msg-{sequence}".encode())
-        wire = chacha20_xor(key, _ZERO_NONCE, plaintext)
-        self.bytes_sent += len(wire)
-        return Transmission(
+        # bytes() copies nothing when handed bytes and snapshots a mutable
+        # buffer; the node stores this same object, so a live share's
+        # transcript entry holds no payload bytes of its own.
+        payload = bytes(plaintext)
+        self.bytes_sent += len(payload)
+        return TlsTransmission(
             channel=self.name,
-            sequence=sequence,
-            wire=wire,
+            sequence=self._next_sequence(),
+            _payload=payload,
             # What breaking DLP/ChaCha20 would yield: the session secret.
             _escrow=self._session_secret,
         )
@@ -61,15 +89,10 @@ class TlsLikeChannel(SecureChannelBase):
     def receive(self, transmission: Transmission) -> bytes:
         if transmission.channel != self.name:
             raise ChannelError(f"transmission is not from a {self.name} channel")
-        key = hkdf(
-            self._session_secret, 32, info=f"msg-{transmission.sequence}".encode()
-        )
-        return chacha20_xor(key, _ZERO_NONCE, transmission.wire)
+        return transmission._payload
 
     def _decrypt_with_escrow(self, transmission: Transmission) -> bytes:
-        session_secret = transmission._escrow
-        key = hkdf(session_secret, 32, info=f"msg-{transmission.sequence}".encode())
-        return chacha20_xor(key, _ZERO_NONCE, transmission.wire)
+        return _seal(transmission._escrow, transmission.sequence, transmission.wire)
 
 
 register_primitive(

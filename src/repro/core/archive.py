@@ -224,11 +224,7 @@ class SecureArchive(ArchivalSystem):
                 "public": dict(split.public),
                 "chain_index": link.index,
             },
-            escrow=(
-                {"plaintext": bytes(data), "commitment_opening": opening}
-                if self.policy.target is ConfidentialityTarget.COMPUTATIONAL
-                else {"commitment_opening": opening}
-            ),
+            escrow={"commitment_opening": opening},
         )
         return self._record(receipt)
 
@@ -582,8 +578,10 @@ class SecureArchive(ArchivalSystem):
                 return self._decode(receipt, stolen)
             if not stolen:
                 raise DecodingError(f"{object_id}: adversary holds no shares")
+            # The break opens the AONT key from one share; the simulation
+            # decodes the shares the nodes hold instead.
             self._require_at_rest_broken(timeline, epoch)
-            return receipt.escrow["plaintext"]
+            return self._decode(receipt, self._held_shares(receipt))
         # Information-theoretic targets: share counting only.  Note that
         # shares stolen in different epochs belong to different polynomials;
         # the facade's refresh replaces node contents, so `stolen` here is

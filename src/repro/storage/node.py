@@ -15,6 +15,7 @@ independent storage provider site:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from repro.crypto.hmac_ import constant_time_eq
@@ -119,6 +120,21 @@ class StorageNode:
         """
         self._require_online(f"raw_bytes {object_id}")
         return self._lookup(object_id).data
+
+    def peek(self, object_id: str) -> bytes | None:
+        """The bytes of *object_id* if this node holds them intact, else None.
+
+        A simulation oracle for the adversary harness
+        (``ArchivalSystem._held_shares``): it reads the medium whether or
+        not the node is online and records nothing -- no stats, metrics or
+        compromise epoch -- so calling it changes no later result.
+        """
+        obj = self._objects.get(object_id)
+        if obj is None:
+            return None
+        # hashlib, not sha256_hex: that one counts into the metrics registry.
+        intact = hashlib.sha256(obj.data).hexdigest()
+        return obj.data if constant_time_eq(intact, obj.digest) else None
 
     def delete(self, object_id: str) -> None:
         self._require_online(f"delete {object_id}")

@@ -7,7 +7,8 @@ adversary outcomes the paper highlights --
 
 - below k shards, recovery additionally requires the cipher *and* hash to
   fall (then "an attacker trivially knows the key and can recover plaintext
-  from even a single share");
+  from even a single share"); the simulation decodes the object from the
+  shards the nodes hold once the break has happened;
 - at k or more shards, recovery is immediate with *no* broken primitives:
   the AONT's key is inside the package.  "Eliminates the need for key
   management" cuts both ways.
@@ -18,6 +19,7 @@ from __future__ import annotations
 from repro.crypto.registry import BreakTimeline
 from repro.errors import DecodingError
 from repro.secretsharing.aontrs import AontRsDispersal
+from repro.secretsharing.base import Share
 from repro.systems.base import ArchivalSystem, StoreReceipt
 
 
@@ -60,15 +62,15 @@ class AontRsArchive(ArchivalSystem):
                 f"{object_id}: only {len(shares)} shards available, "
                 f"need {self.dispersal.k}"
             )
-        from repro.secretsharing.base import Share
+        return self._finish_read(object_id, self._decode(receipt, shares))
 
+    def _decode(self, receipt: StoreReceipt, shards: dict[int, bytes]) -> bytes:
         share_objs = [
-            Share(scheme="aont-rs", index=i, payload=p) for i, p in shares.items()
+            Share(scheme="aont-rs", index=i, payload=p) for i, p in shards.items()
         ]
-        data = self.dispersal.reconstruct(
+        return self.dispersal.reconstruct(
             share_objs, original_length=receipt.original_length
         )
-        return self._finish_read(object_id, data)
 
     def attempt_recovery(
         self,
@@ -80,17 +82,11 @@ class AontRsArchive(ArchivalSystem):
         receipt = self.receipt(object_id)
         if len(stolen) >= self.dispersal.k:
             # Threshold theft: the AONT opens with no cryptanalysis at all.
-            from repro.secretsharing.base import Share
-
-            share_objs = [
-                Share(scheme="aont-rs", index=i, payload=p)
-                for i, p in stolen.items()
-            ]
-            return self.dispersal.reconstruct(
-                share_objs, original_length=receipt.original_length
-            )
+            return self._decode(receipt, stolen)
         if not stolen:
             raise DecodingError(f"{object_id}: adversary holds no shards")
-        # Sub-threshold theft: needs the cipher and hash broken.
+        # Sub-threshold theft: needs the cipher and hash broken; the real
+        # attack then recovers the AONT key from any one shard, which the
+        # simulation grants by decoding the shards the nodes hold.
         self._require_at_rest_broken(timeline, epoch)
-        return receipt.escrow["plaintext"]
+        return self._decode(receipt, self._held_shares(receipt))

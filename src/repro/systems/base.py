@@ -13,14 +13,20 @@ encoding pipeline plus its harvest semantics.
 Adversary hooks
 ---------------
 ``transcript``
-    Every wire transmission ever sent, for the harvesting adversary.
+    Every wire transmission ever sent, for the harvesting adversary.  An
+    entry keeps the payload it carried, not its ciphertext: the wire bytes
+    are derived when read (see ``repro.channels.base``), and a live share's
+    payload is the very object its node stores.
 ``steal_at_rest(object_id, share_indices)``
     The at-rest haul a compromise of those nodes yields.
 ``attempt_recovery(stolen, timeline, epoch)``
     What that haul is worth: returns plaintext or raises while the system's
     defenses hold.  Computational systems gate on the break timeline via the
     escrow convention (see ``repro.channels.base``); information-theoretic
-    systems gate on share counts only.
+    systems gate on share counts only.  When a broken primitive is what
+    recovers a sub-threshold haul, the system decodes the object from the
+    shares its nodes hold (:meth:`ArchivalSystem._held_shares`, a
+    side-effect-free oracle) instead of keeping a plaintext copy per object.
 """
 
 from __future__ import annotations
@@ -106,7 +112,13 @@ class ArchivalSystem(abc.ABC):
         return self.transit.notion
 
     def _send_share(self, node: StorageNode, object_id: str, index: int, payload: bytes) -> None:
-        """Ship one share over the transit channel and store it."""
+        """Ship one share over the transit channel and store it.
+
+        The channel runs no cipher here: the transmission carries the
+        payload and derives its wire bytes only when an eavesdropper reads
+        the transcript.  The node stores the object ``receive`` delivers,
+        which is the transmission's own payload.
+        """
         transmission = self.transit.send(payload)
         self.transcript.append(
             TranscriptEntry(
@@ -127,13 +139,21 @@ class ArchivalSystem(abc.ABC):
         placement = self.placement_policy.place(
             object_id, sorted(payload_by_index), tier_layout=tier_layout
         )
-        for index, node_id in placement.node_by_share.items():
-            self._send_share(
-                self.placement_policy.node(node_id),
-                object_id,
-                index,
-                payload_by_index[index],
-            )
+        written: dict[int, str] = {}
+        try:
+            for index, node_id in placement.node_by_share.items():
+                self._send_share(
+                    self.placement_policy.node(node_id),
+                    object_id,
+                    index,
+                    payload_by_index[index],
+                )
+                written[index] = node_id
+        except BaseException:  # noqa: ARCH001 -- undoes the partial store, then re-raises
+            # No receipt will point at the shares already written; remove
+            # them so a failed store leaves no orphans behind.
+            self.placement_policy.delete(Placement(object_id, written))
+            raise
         return placement
 
     def _fetch_shares(
@@ -283,3 +303,21 @@ class ArchivalSystem(abc.ABC):
                 f"{self.name}: at-rest primitives {self.at_rest_relies_on} "
                 f"still hold at epoch {epoch}"
             )
+
+    def _held_shares(self, receipt: StoreReceipt) -> dict[int, bytes]:
+        """Every intact share of *receipt* its nodes hold: the oracle.
+
+        Stands in for cryptanalysis we cannot run: once the at-rest break
+        has happened, ``attempt_recovery`` decodes a sub-threshold haul's
+        object from these shares, which grants exactly the plaintext a
+        per-receipt escrow copy would.  The read has no side effects -- no
+        node stats, metrics, fault-plan draws, access tracking or
+        compromise epochs -- so asking changes nothing a later call sees.
+        """
+        held: dict[int, bytes] = {}
+        for index, node_id in receipt.placement.node_by_share.items():
+            node = self.placement_policy.node(node_id)
+            data = node.peek(f"{receipt.object_id}/share-{index}")
+            if data is not None:
+                held[index] = data
+        return held

@@ -106,6 +106,13 @@ class TestQkd:
         b = link.send(b"same message")
         assert a.wire != b.wire
 
+    def test_receive_needs_a_pad_this_link_recorded(self):
+        sender = QkdLink(DeterministicRandom(9), key_rate_bytes_per_s=1e6)
+        sender.advance_time(1.0)
+        t = sender.send(b"meant for another link")
+        with pytest.raises(ChannelError):
+            QkdLink(DeterministicRandom(10)).receive(t)
+
     def test_infrastructure_cost(self):
         link = QkdLink(DeterministicRandom(5), distance_km=100)
         assert link.infrastructure_cost_usd == pytest.approx(100_000 + 10_000 * 100)

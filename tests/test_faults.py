@@ -1,5 +1,7 @@
 """Fault injection, retry/backoff, degraded reads, and repair-on-read."""
 
+import copy
+
 import pytest
 
 from repro.analysis.faults_scenario import run_chaos_scenario
@@ -466,6 +468,36 @@ class TestRepairOnRead:
         assert retrieved == data and report.shares_repaired == 1
         assert registry.snapshot()["counters"]["repairs_on_read_total"] == 1
         assert system.retrieve("doc") == data
+
+
+class TestFailedStoreLeavesNoOrphans:
+    class _Archive(SecureArchive):
+        SIGNER_HEIGHT = 4
+
+    @pytest.mark.parametrize("position", range(CENTURY_SAFE.n))
+    def test_store_failing_at_any_share_removes_what_it_wrote(self, position):
+        plan, fleet = make_plan_fleet(6)
+        archive = self._Archive(CENTURY_SAFE, fleet, DeterministicRandom(position))
+        archive.store("kept", b"already stored" * 16)
+        bytes_before = archive.placement_policy.total_bytes_stored()
+        # Placement is a deterministic rotation: a copy of the policy
+        # predicts where the next store's shares go.
+        predicted = copy.copy(archive.placement_policy).place(
+            "doc", list(range(1, CENTURY_SAFE.n + 1))
+        )
+        index = sorted(predicted.node_by_share)[position]
+        plan.add_rule(
+            FaultRule(kind="outage", op="put", node_id=predicted.node_by_share[index])
+        )
+        with pytest.raises(NodeUnavailableError):
+            archive.store("doc", b"never acknowledged" * 16)
+        assert not [
+            key for node in fleet for key in node.object_ids() if key.startswith("doc/share-")
+        ]
+        with pytest.raises(ObjectNotFoundError):
+            archive.receipt("doc")
+        assert archive.placement_policy.total_bytes_stored() == bytes_before
+        assert archive.retrieve("kept") == b"already stored" * 16
 
 
 class TestChaosScenarioAcceptance:
