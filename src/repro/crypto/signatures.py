@@ -24,14 +24,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.crypto.drbg import DeterministicRandom
 from repro.crypto.registry import PrimitiveKind, register_primitive
-from repro.crypto.sha256 import sha256
+from repro.crypto.sha256 import sha256, sha256_rows
 from repro.errors import IntegrityError, KeyManagementError, ParameterError
 from repro.gmath.primes import random_prime
 from repro.security import redact_secret
 
 _HASH_BITS = 256
+#: One Lamport key (secret or public): a 32-byte value for each (bit, value).
+_KEY_BYTES = 2 * 32 * _HASH_BITS
 
 
 # -- Lamport one-time signatures ------------------------------------------------
@@ -39,17 +43,27 @@ _HASH_BITS = 256
 
 @dataclass(frozen=True)
 class LamportKeyPair:
-    """One-time key pair: 2x256 secret preimages and their hashes."""
+    """One-time key pair: 2x256 secret preimages and their hashes.
 
-    secret: tuple[tuple[bytes, bytes], ...]
-    public: tuple[tuple[bytes, bytes], ...]
+    Both are flat slabs: the value for bit ``i`` and bit value ``v`` is the
+    32 bytes at offset ``32 * (2 * i + v)``.
+    """
+
+    secret: bytes
+    public: bytes
 
     def __repr__(self) -> str:
-        preimages = redact_secret(b"".join(b for pair in self.secret for b in pair))
         return (
-            f"LamportKeyPair(secret=<{len(self.secret)} pairs, {preimages}>, "
-            f"public=<{len(self.public)} pairs>)"
+            f"LamportKeyPair(secret=<{_HASH_BITS} pairs, {redact_secret(self.secret)}>, "
+            f"public=<{_HASH_BITS} pairs>)"
         )
+
+
+def _reveal(key: bytes, message: bytes) -> bytes:
+    """The 32-byte entry of *key* selected by each bit of H(message)."""
+    bits = np.unpackbits(np.frombuffer(sha256(message), dtype=np.uint8))
+    entries = np.frombuffer(key, dtype=np.uint8).reshape(_HASH_BITS, 2, 32)
+    return entries[np.arange(_HASH_BITS), bits].tobytes()
 
 
 class LamportSignature:
@@ -59,36 +73,24 @@ class LamportSignature:
 
     @staticmethod
     def generate(rng: DeterministicRandom) -> LamportKeyPair:
-        secret = tuple(
-            (rng.bytes(32), rng.bytes(32)) for _ in range(_HASH_BITS)
-        )
-        public = tuple((sha256(a), sha256(b)) for a, b in secret)
-        return LamportKeyPair(secret=secret, public=public)
+        secret = rng.bytes(_KEY_BYTES)
+        return LamportKeyPair(secret=secret, public=sha256_rows(secret, 32))
 
     @staticmethod
     def sign(key_pair: LamportKeyPair, message: bytes) -> bytes:
-        digest = sha256(message)
-        parts = []
-        for bit_index in range(_HASH_BITS):
-            bit = (digest[bit_index // 8] >> (7 - bit_index % 8)) & 1
-            parts.append(key_pair.secret[bit_index][bit])
-        return b"".join(parts)
+        return _reveal(key_pair.secret, message)
 
     @staticmethod
-    def verify(public: tuple[tuple[bytes, bytes], ...], message: bytes, signature: bytes) -> bool:
-        if len(signature) != 32 * _HASH_BITS:
+    def verify(public: bytes, message: bytes, signature: bytes) -> bool:
+        if len(signature) != 32 * _HASH_BITS or len(public) != _KEY_BYTES:
             return False
-        digest = sha256(message)
-        for bit_index in range(_HASH_BITS):
-            bit = (digest[bit_index // 8] >> (7 - bit_index % 8)) & 1
-            revealed = signature[32 * bit_index : 32 * (bit_index + 1)]
-            if sha256(revealed) != public[bit_index][bit]:
-                return False
-        return True
+        # Every compared value is public: the revealed preimages' hashes
+        # against the public key.
+        return sha256_rows(signature, 32) == _reveal(public, message)
 
     @staticmethod
-    def public_key_digest(public: tuple[tuple[bytes, bytes], ...]) -> bytes:
-        return sha256(b"".join(a + b for a, b in public))
+    def public_key_digest(public: bytes) -> bytes:
+        return sha256(public)
 
 
 # -- Merkle many-time signatures ---------------------------------------------------
@@ -98,12 +100,26 @@ def _merkle_parent(left: bytes, right: bytes) -> bytes:
     return sha256(b"\x01" + left + right)
 
 
+def _merkle_level(level: bytes) -> bytes:
+    """:func:`_merkle_parent` of each adjacent pair of 32-byte nodes."""
+    pairs = np.frombuffer(level, dtype=np.uint8).reshape(-1, 64)
+    prefixed = np.empty((len(pairs), 65), dtype=np.uint8)
+    prefixed[:, 0] = 1
+    prefixed[:, 1:] = pairs
+    return sha256_rows(prefixed, 65)
+
+
 class MerkleSignature:
     """Merkle signature scheme: a tree over 2^h Lamport key pairs.
 
     The public key is the Merkle root; each signature reveals one Lamport
     signature plus its authentication path.  Key pairs are consumed in order
     and never reused (:attr:`remaining` tracks the budget).
+
+    All 2^h key pairs come from one DRBG draw, and they are held as two
+    contiguous slabs (secrets, publics; ``_KEY_BYTES`` per key pair).  The
+    DRBG serves one sequential keystream, so the keys are the same as
+    generating the pairs one by one.
     """
 
     name = "merkle-lamport"
@@ -112,34 +128,31 @@ class MerkleSignature:
         if not 1 <= height <= 12:
             raise ParameterError("tree height must be in [1, 12]")
         self.height = height
-        self._key_pairs = [LamportSignature.generate(rng) for _ in range(1 << height)]
-        self._leaves = [
-            LamportSignature.public_key_digest(kp.public) for kp in self._key_pairs
-        ]
-        self._levels = [self._leaves]
-        while len(self._levels[-1]) > 1:
-            level = self._levels[-1]
-            self._levels.append(
-                [_merkle_parent(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-            )
-        self.public_root = self._levels[-1][0]
+        self._secrets = rng.bytes(_KEY_BYTES << height)
+        self._publics = sha256_rows(self._secrets, 32)
+        # Each level is its nodes' 32-byte digests, concatenated.
+        self._levels = [sha256_rows(self._publics, _KEY_BYTES)]
+        while len(self._levels[-1]) > 32:
+            self._levels.append(_merkle_level(self._levels[-1]))
+        self.public_root = self._levels[-1]
         self._next_index = 0
 
     @property
     def remaining(self) -> int:
-        return len(self._key_pairs) - self._next_index
+        return (1 << self.height) - self._next_index
 
     def sign(self, message: bytes) -> dict:
         if self.remaining == 0:
             raise KeyManagementError("Merkle signature key pairs exhausted")
         index = self._next_index
         self._next_index += 1
-        key_pair = self._key_pairs[index]
+        key = slice(index * _KEY_BYTES, (index + 1) * _KEY_BYTES)
+        key_pair = LamportKeyPair(secret=self._secrets[key], public=self._publics[key])
         path = []
         node = index
         for level in self._levels[:-1]:
             sibling = node ^ 1
-            path.append(level[sibling])
+            path.append(level[32 * sibling : 32 * (sibling + 1)])
             node //= 2
         return {
             "index": index,
@@ -156,6 +169,11 @@ class MerkleSignature:
             ots_public = signature["ots_public"]
             path = signature["auth_path"]
         except (TypeError, KeyError):
+            return False
+        # The path fixes the tree height; an index past 2^height would walk
+        # the same path (only its low bits are read) and make a second
+        # encoding of the same signature.
+        if not isinstance(index, int) or not 0 <= index < 1 << len(path):
             return False
         if not LamportSignature.verify(ots_public, message, ots_signature):
             return False

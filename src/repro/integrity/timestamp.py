@@ -289,34 +289,24 @@ def _encode_merkle_signature(signature: dict) -> bytes:
         len(signature["auth_path"]).to_bytes(2, "big"),
         b"".join(signature["auth_path"]),
         signature["ots_signature"],
-        b"".join(a + b for a, b in signature["ots_public"]),
+        signature["ots_public"],
     ]
     return b"".join(parts)
 
 
 def _decode_merkle_signature(blob: bytes) -> dict | None:
-    try:
-        index = int.from_bytes(blob[:4], "big")
-        path_len = int.from_bytes(blob[4:6], "big")
-        offset = 6
-        auth_path = [
-            blob[offset + 32 * i : offset + 32 * (i + 1)] for i in range(path_len)
-        ]
-        offset += 32 * path_len
-        ots_signature = blob[offset : offset + 32 * 256]
-        offset += 32 * 256
-        ots_public = tuple(
-            (blob[offset + 64 * i : offset + 64 * i + 32],
-             blob[offset + 64 * i + 32 : offset + 64 * (i + 1)])
-            for i in range(256)
-        )
-        if len(blob) != offset + 64 * 256:
-            return None
-        return {
-            "index": index,
-            "auth_path": auth_path,
-            "ots_signature": ots_signature,
-            "ots_public": ots_public,
-        }
-    except (IndexError, ValueError):
+    index = int.from_bytes(blob[:4], "big")
+    path_len = int.from_bytes(blob[4:6], "big")
+    offset = 6
+    auth_path = [blob[offset + 32 * i : offset + 32 * (i + 1)] for i in range(path_len)]
+    offset += 32 * path_len
+    ots_signature = blob[offset : offset + 32 * 256]
+    offset += 32 * 256
+    if len(blob) != offset + 64 * 256:
         return None
+    return {
+        "index": index,
+        "auth_path": auth_path,
+        "ots_signature": ots_signature,
+        "ots_public": blob[offset:],
+    }

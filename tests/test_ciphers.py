@@ -1,5 +1,7 @@
 """AES, ChaCha20, LegacyFeistel, and the one-time pad."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,69 @@ class TestAesCtr:
         cipher = AesCtrCipher(32)
         with pytest.raises(ParameterError):
             cipher.encrypt(b"\x00" * 16, b"\x00" * 12, b"x")
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _reference_block(key: bytes, nonce: bytes, counter: int) -> bytes:
+    """RFC 8439 section 2.3 block function, one 32-bit word at a time."""
+
+    def quarter_round(s, a, b, c, d):
+        for x, y, z, n in ((a, b, d, 16), (c, d, b, 12), (a, b, d, 8), (c, d, b, 7)):
+            s[x] = (s[x] + s[y]) & _MASK32
+            v = s[z] ^ s[x]
+            s[z] = ((v << n) | (v >> (32 - n))) & _MASK32
+
+    initial = [
+        *struct.unpack("<4I", b"expand 32-byte k"),
+        *struct.unpack("<8I", key),
+        counter,
+        *struct.unpack("<3I", nonce),
+    ]
+    s = list(initial)
+    for _ in range(10):
+        for a, b, c, d in ((0, 4, 8, 12), (1, 5, 9, 13), (2, 6, 10, 14), (3, 7, 11, 15),
+                           (0, 5, 10, 15), (1, 6, 11, 12), (2, 7, 8, 13), (3, 4, 9, 14)):
+            quarter_round(s, a, b, c, d)
+    return struct.pack("<16I", *((x + y) & _MASK32 for x, y in zip(s, initial)))
+
+
+def _reference_keystream(key: bytes, nonce: bytes, length: int, counter: int = 0) -> bytes:
+    blocks = -(-length // 64)
+    return b"".join(_reference_block(key, nonce, counter + i) for i in range(blocks))[:length]
+
+
+class TestChaCha20ScalarReference:
+    """The vectorized core against the scalar RFC 8439 block function."""
+
+    KEY = bytes(range(7, 39))
+    NONCE = bytes.fromhex("0a1b2c3d4e5f60718293a4b5")
+
+    def test_reference_matches_rfc8439_block_vector(self):
+        block = _reference_block(bytes(range(32)), bytes.fromhex("000000090000004a00000000"), 1)
+        assert block.hex() == (
+            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+            "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+        )
+
+    # 64 KiB is one DRBG slab; 1 MiB + 5 runs in several block chunks and
+    # ends mid-block.
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 4096, 65536, (1 << 20) + 5])
+    def test_every_length_matches_reference(self, length):
+        expected = _reference_keystream(self.KEY, self.NONCE, length, counter=3)
+        assert chacha20_keystream(self.KEY, self.NONCE, length, counter=3) == expected
+
+    def test_last_valid_counter(self):
+        last = (1 << 32) - 1
+        assert chacha20_keystream(self.KEY, self.NONCE, 64, counter=last) == (
+            _reference_block(self.KEY, self.NONCE, last)
+        )
+        assert chacha20_keystream(self.KEY, self.NONCE, 130, counter=last - 2) == (
+            _reference_keystream(self.KEY, self.NONCE, 130, counter=last - 2)
+        )
+        with pytest.raises(ParameterError):
+            chacha20_keystream(self.KEY, self.NONCE, 65, counter=last)
 
 
 class TestChaCha20:

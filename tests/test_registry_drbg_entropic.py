@@ -141,6 +141,16 @@ class TestDeterministicRandom:
         combined = DeterministicRandom(3).bytes(20)
         assert first + second == combined
 
+    def test_interleaved_draws_equal_one_shot(self):
+        # Crosses the 64 KiB slab boundary mid-draw and with a draw larger
+        # than a slab, so the read offset and the refill both get exercised.
+        sizes = [1, 31, 32, 64, 65_536, 70_000, 1, 31, 32, 64]
+        rng = DeterministicRandom(b"interleaved")
+        interleaved = b"".join(rng.bytes(n) for n in sizes)
+        assert rng.bytes(0) == b""
+        assert interleaved == DeterministicRandom(b"interleaved").bytes(sum(sizes))
+        assert rng.bytes(100) == DeterministicRandom(b"interleaved").bytes(sum(sizes) + 100)[-100:]
+
     def test_randrange_bounds_and_coverage(self):
         rng = DeterministicRandom(4)
         values = {rng.randrange(10) for _ in range(500)}

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from repro.crypto.hmac_ import hmac_sha256, verify_hmac_sha256
 from repro.crypto.kdf import derive_subkey, hkdf, hkdf_expand, hkdf_extract
-from repro.crypto.sha256 import sha256, sha256_hex, sha256_pure
+from repro.crypto.sha256 import sha256, sha256_hex, sha256_pure, sha256_rows
 from repro.errors import ParameterError
+from repro.obs.metrics import use_registry
 
 
 class TestSha256:
@@ -49,6 +50,22 @@ class TestSha256:
 
     def test_hex_helper(self):
         assert sha256_hex(b"x") == hashlib.sha256(b"x").hexdigest()
+
+
+class TestSha256Rows:
+    def test_rows_equal_per_row_digests_and_counts(self):
+        data = bytes(range(256)) * 3
+        with use_registry() as batched:
+            digests = sha256_rows(data, 48)
+        with use_registry() as per_row:
+            expected = b"".join(sha256(data[i : i + 48]) for i in range(0, len(data), 48))
+        assert digests == expected
+        assert batched.snapshot() == per_row.snapshot()
+
+    @pytest.mark.parametrize("width", [0, 5])
+    def test_rejects_uneven_rows(self, width):
+        with pytest.raises(ParameterError):
+            sha256_rows(b"\x00" * 32, width)
 
 
 class TestHmac:

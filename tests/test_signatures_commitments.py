@@ -10,8 +10,11 @@ from repro.crypto.signatures import (
     ToyRsaSignature,
     factor_modulus,
 )
+from repro.crypto.sha256 import sha256
 from repro.errors import KeyManagementError, ParameterError, VerificationError
 from repro.gmath.primes import generate_schnorr_group
+from repro.integrity.timestamp import MerkleChainSigner
+from repro.obs.metrics import use_registry
 
 
 @pytest.fixture
@@ -78,11 +81,65 @@ class TestMerkleSignature:
         ms = MerkleSignature(height=1, rng=rng)
         assert not MerkleSignature.verify(ms.public_root, b"m", {"bogus": 1})
 
+    def test_rejects_index_beyond_tree(self, rng):
+        # Only the low `height` bits of the index steer the path walk, so an
+        # unchecked index + k * 2^height re-encodes the same signature.
+        ms = MerkleSignature(height=4, rng=rng)
+        sig = ms.sign(b"m")
+        assert MerkleSignature.verify(ms.public_root, b"m", sig)
+        for index in (16, 16000, -16):
+            assert not MerkleSignature.verify(ms.public_root, b"m", {**sig, "index": index})
+
+    def test_chain_signer_rejects_reencoded_index(self, rng):
+        signer = MerkleChainSigner(rng, height=4)
+        blob = signer.sign(b"link")
+        assert signer.verify(b"link", blob)
+        for index in (16, 16000):
+            assert not signer.verify(b"link", index.to_bytes(4, "big") + blob[4:])
+
     def test_height_limits(self, rng):
         with pytest.raises(ParameterError):
             MerkleSignature(height=0, rng=rng)
         with pytest.raises(ParameterError):
             MerkleSignature(height=13, rng=rng)
+
+
+#: Recorded with one-key-pair-at-a-time keygen (2^h x 512 draws of 32 bytes):
+#: height -> (public root, sha256 of the next 64 rng bytes after keygen,
+#: crypto_hash_calls_total delta, crypto_hash_bytes_total delta).
+_KEYGEN_PINS = {
+    1: ("5853a9a1c35415b74d4a4075c32b4d947b6cf455326f4ee338b4617f8cd0a5a4",
+        "0b7da2263ccb18362ca5c2287e45e876153b64b4313a6da8251b251dcbc646a9", 1027, 65601),
+    4: ("37c7a22150602f70889d9c44542388c2119c9ee0985bcc194cfae43bb374ef1b",
+        "8d3e6164d18e15e53bff2070937df8da1122c56e83a92bb9b13125bc0541ea62", 8223, 525263),
+    8: ("c296766ad8ff8a7ba4f48a862b86dc8a172484473556068b85f56c31823fb15c",
+        "fbb28216faed519d3a4c34d6bd7fd4bcb64f83b1ea1a4d29dcc0a8eb833f8184", 131583, 8405183),
+}
+
+
+class TestMerkleKeygenPins:
+    @pytest.mark.parametrize("height", sorted(_KEYGEN_PINS))
+    def test_keygen_byte_identical(self, height):
+        root, next_rng, hash_calls, hash_bytes = _KEYGEN_PINS[height]
+        rng = DeterministicRandom(f"merkle-pin/{height}")
+        with use_registry() as registry:
+            ms = MerkleSignature(height, rng)
+        counters = registry.snapshot()["counters"]
+        assert ms.public_root.hex() == root
+        assert sha256(rng.bytes(64)).hex() == next_rng
+        assert counters["crypto_hash_calls_total{algorithm=sha256}"] == hash_calls
+        assert counters["crypto_hash_bytes_total{algorithm=sha256}"] == hash_bytes
+
+    def test_lamport_keygen_byte_identical(self):
+        rng = DeterministicRandom(b"sigs")
+        kp = LamportSignature.generate(rng)
+        assert LamportSignature.public_key_digest(kp.public).hex() == (
+            "dab41ff01a0f87c60646f01d251e8113183d799fd033c844437147867dd02526"
+        )
+        assert sha256(LamportSignature.sign(kp, b"m")).hex() == (
+            "ad0762f773ea1dc6d5f31595ac2eefc3647a878a401ac7a5dd3b60c7f448c74d"
+        )
+        assert rng.bytes(8).hex() == "c355df932e9c23da"
 
 
 class TestToyRsa:
