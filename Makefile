@@ -3,9 +3,9 @@
 # Let every target work from a bare checkout (no `make install` needed).
 export PYTHONPATH := src
 
-.PHONY: install test test-chaos test-tiering bench bench-json bench-service \
-	bench-ratchet bench-e2e-check artifacts examples all clean lint lint-graph \
-	lint-threads lint-exceptions lint-imports coverage-storage racecheck
+.PHONY: install test test-chaos bench bench-json bench-service \
+	bench-ratchet bench-e2e-check artifacts examples all clean lint \
+	coverage-storage racecheck
 
 install:
 	python setup.py develop
@@ -17,12 +17,6 @@ test: lint coverage-storage
 # the `-m 'not chaos'` addopts; the explicit -m here overrides it).
 test-chaos:
 	pytest -m chaos tests/
-
-# Tiered-storage migration invariants: the 200-seed property suite plus
-# the tier placement/migrator unit tests (also part of the plain `test`
-# run; this target reruns them standalone for quick iteration).
-test-tiering:
-	pytest tests/test_tiering.py
 
 # Enforce the per-package line-coverage floor over src/repro/storage and
 # src/repro/service using the stdlib trace module (also runs the
@@ -44,37 +38,14 @@ lint:
 		|| { PYTHONPATH=tools:$(PYTHONPATH) python -m archlint; exit 1; }
 	@echo "lint: OK (report: archlint_report.json)"
 
-# Whole-program phase only: the v2 analyses (ARCH009 layering DAG, ARCH010
-# secret-taint dataflow, ARCH011 error taxonomy) over the library, judged
-# against the committed archlint_baseline.json ratchet.  A standalone
-# subset of `lint` for quick iteration; `all` runs `lint` instead.
-lint-graph:
-	PYTHONPATH=tools:$(PYTHONPATH) python -m archlint --select ARCH009,ARCH010,ARCH011 src/repro
-
-# Concurrency safety only: ARCH012 (thread-reachability + lock discipline
-# over shared mutable state, with the GIL-atomic allowlist from
-# [tool.archlint.concurrency]) and ARCH013 (every lru_cache'd plan/table
-# returns read-only arrays; no caller mutates one) over the library.  A
-# standalone subset of `lint`, like lint-graph.
-lint-threads:
-	PYTHONPATH=tools:$(PYTHONPATH) python -m archlint --select ARCH012,ARCH013 src/repro
-
-# Dynamic counterpart of lint-threads: barrier-synchronized seeded stress
-# over the kernel, the plan/key caches, and the metrics registry, asserting
-# byte-identical outputs at workers in {1,2,8} and exact metric counts; its
-# coverage tables are cross-checked against ARCH012's static inventory so
-# the two views cannot drift.
+# Dynamic counterpart of the concurrency rules (ARCH012/ARCH013 in
+# `lint`): barrier-synchronized seeded stress over the kernel, the
+# plan/key caches, and the metrics registry, asserting byte-identical
+# outputs at workers in {1,2,8} and exact metric counts; its coverage
+# tables are cross-checked against ARCH012's static inventory so the two
+# views cannot drift.
 racecheck:
 	python tools/racecheck.py
-
-# Back-compat aliases for the two pre-archlint gates (the grep-based broad
-# except check and the retired tools/lint_imports.py shim); both run as
-# archlint rules now.
-lint-exceptions:
-	PYTHONPATH=tools:$(PYTHONPATH) python -m archlint --select ARCH001
-
-lint-imports:
-	PYTHONPATH=tools:$(PYTHONPATH) python -m archlint --select ARCH002
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -116,8 +87,6 @@ examples:
 		python $$script || exit 1; \
 	done
 
-# lint-graph, lint-threads and test-tiering are left out: `lint` and `test`
-# already run everything they check.
 all: install lint test racecheck bench-e2e-check bench bench-json bench-ratchet artifacts
 
 clean:

@@ -33,6 +33,9 @@ def main() -> None:
         make_node_fleet(2, providers=["bigcloud"]), DeterministicRandom(1)
     )
     lincos = Lincos(make_node_fleet(5), DeterministicRandom(2))
+    # The adversary taps the wire from the start: record what both send.
+    cloud.record_transcript()
+    lincos.record_transcript()
 
     print("year 0: hospital archives the record in both systems")
     cloud.store("patient-4711", RECORD)

@@ -34,6 +34,7 @@ from repro.errors import (
 )
 from repro.integrity.timestamp import (
     MerkleChainSigner,
+    MerkleChainVerifier,
     TimestampAuthority,
     TimestampChain,
 )
@@ -101,7 +102,11 @@ class SecureArchive(ArchivalSystem):
         )
         #: Every signer the archive has ever used, for auditors: hash-based
         #: signatures are finite-use, so long-lived chains rotate signers.
-        self.signer_history = [self.authority.signer]
+        #: Retired signers are kept as verifiers (their 32-byte roots); only
+        #: the last entry, the live signer, holds key slabs.
+        self.signer_history: list[MerkleChainSigner | MerkleChainVerifier] = [
+            self.authority.signer
+        ]
         self.commitments = PedersenCommitment()
         self._manifests: dict[str, dict] = {}
         self._retention: dict[str, int] = {}
@@ -476,6 +481,8 @@ class SecureArchive(ArchivalSystem):
         if signer._scheme.remaining >= 3:
             return
         self.authority.renew_chain(self.chain, self.epoch)  # old signer's last act
+        # Auditors only verify and read identities; drop the key slabs.
+        self.signer_history[-1] = signer.verifier()
         new_signer = MerkleChainSigner(self.rng, height=self.SIGNER_HEIGHT)
         self.authority = TimestampAuthority(new_signer)
         self.signer_history.append(new_signer)

@@ -6,6 +6,8 @@ who grep imports.
 
 from __future__ import annotations
 
+import hmac
+
 from repro.crypto.sha256 import BLOCK_SIZE, sha256
 
 
@@ -22,21 +24,16 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
 def constant_time_eq(a: bytes | str, b: bytes | str) -> bool:
     """Data-independent equality for tags/digests/keys (ARCH004's target).
 
-    Accepts ``str`` for hex-encoded digests.  No early exit on mismatch, so
-    the number of matching leading bytes never shows up in timing (timing is
-    irrelevant in simulation, but the idiom is kept -- and now lint-enforced
-    -- so the code reads like production crypto).
+    Accepts ``str`` for hex-encoded digests, on either side.  The compare is
+    the standard library's ``hmac.compare_digest`` (C, no early exit on
+    mismatch), so the number of matching leading bytes never shows up in
+    timing; it runs on every node read, so the loop must not be Python's.
     """
     if isinstance(a, str):
         a = a.encode()
     if isinstance(b, str):
         b = b.encode()
-    if len(a) != len(b):
-        return False
-    diff = 0
-    for x, y in zip(a, b):
-        diff |= x ^ y
-    return diff == 0
+    return hmac.compare_digest(a, b)
 
 
 def verify_hmac_sha256(key: bytes, message: bytes, tag: bytes) -> bool:

@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 
 from repro.crypto.registry import BreakTimeline
 from repro.crypto.sha256 import sha256
-from repro.integrity.timestamp import ChainSigner, TimestampChain, TimestampLink
+from repro.integrity.timestamp import (
+    ChainSigner,
+    ChainVerifier,
+    TimestampChain,
+    TimestampLink,
+)
 
 
 @dataclass
@@ -38,12 +43,12 @@ class ChainVerdict:
 class ChainAuditor:
     """Verifies chains given the signers' verification callbacks."""
 
-    def __init__(self, verifiers: dict[bytes, ChainSigner]):
-        """*verifiers* maps signer identity bytes to the signer able to
-        verify that identity's signatures (public operations only)."""
+    def __init__(self, verifiers: dict[bytes, ChainVerifier]):
+        """*verifiers* maps signer identity bytes to the signer (or
+        verifier) able to check that identity's signatures."""
         self.verifiers = dict(verifiers)
 
-    def register(self, signer: ChainSigner) -> None:
+    def register(self, signer: ChainVerifier) -> None:
         self.verifiers[signer.public_identity()] = signer
 
     def audit(

@@ -32,16 +32,20 @@ from repro.crypto.signatures import MerkleSignature, RsaKeyPair, ToyRsaSignature
 from repro.errors import IntegrityError, ParameterError
 
 
-class ChainSigner(Protocol):
-    """What the timestamp authority needs from a signature scheme."""
+class ChainVerifier(Protocol):
+    """What a chain auditor needs from a signature scheme: public operations."""
 
     scheme_name: str
-
-    def sign(self, message: bytes) -> bytes: ...
 
     def verify(self, message: bytes, signature: bytes) -> bool: ...
 
     def public_identity(self) -> bytes: ...
+
+
+class ChainSigner(ChainVerifier, Protocol):
+    """What the timestamp authority needs from a signature scheme."""
+
+    def sign(self, message: bytes) -> bytes: ...
 
 
 class MerkleChainSigner:
@@ -56,13 +60,34 @@ class MerkleChainSigner:
         return _encode_merkle_signature(self._scheme.sign(message))
 
     def verify(self, message: bytes, signature: bytes) -> bool:
-        decoded = _decode_merkle_signature(signature)
-        if decoded is None:
-            return False
-        return MerkleSignature.verify(self._scheme.public_root, message, decoded)
+        return self.verifier().verify(message, signature)
 
     def public_identity(self) -> bytes:
         return self._scheme.public_root
+
+    def verifier(self) -> MerkleChainVerifier:
+        """This signer's public half, which keeps none of its key slabs."""
+        return MerkleChainVerifier(self._scheme.public_root)
+
+
+class MerkleChainVerifier:
+    """A Merkle-Lamport signer reduced to its 32-byte root: verifies, never
+    signs.  What an archive keeps of a retired signer for its auditors."""
+
+    scheme_name = MerkleChainSigner.scheme_name
+    __slots__ = ("_root",)
+
+    def __init__(self, public_root: bytes):
+        self._root = public_root
+
+    def verify(self, message: bytes, signature: bytes) -> bool:
+        decoded = _decode_merkle_signature(signature)
+        if decoded is None:
+            return False
+        return MerkleSignature.verify(self._root, message, decoded)
+
+    def public_identity(self) -> bytes:
+        return self._root
 
 
 class RsaChainSigner:

@@ -47,9 +47,6 @@ class AontRsArchive(ArchivalSystem):
                 "k": self.dispersal.k,
                 "package_length": len(data) + 32,
             },
-            # Post-break recovery from < k shards is granted by escrow (the
-            # real attack reconstructs the AONT key from broken primitives).
-            escrow={"plaintext": bytes(data)},
         )
         return self._record(receipt)
 

@@ -6,17 +6,17 @@ Each system is a client-side pipeline over a fleet of
     plaintext --encode--> share payloads --transit channel--> nodes
 
 The base class owns the plumbing every system shares -- placement, the
-transit transcript (what an eavesdropper on the wire collects), storage
-accounting, and the adversary-facing hooks -- so each subclass is mostly its
-encoding pipeline plus its harvest semantics.
+transit channel, storage accounting, and the adversary-facing hooks -- so
+each subclass is mostly its encoding pipeline plus its harvest semantics.
 
 Adversary hooks
 ---------------
-``transcript``
-    Every wire transmission ever sent, for the harvesting adversary.  An
-    entry keeps the payload it carried, not its ciphertext: the wire bytes
-    are derived when read (see ``repro.channels.base``), and a live share's
-    payload is the very object its node stores.
+``record_transcript()``
+    Opt in to recording the wire: from then on every transmission lands in
+    ``transcript``, for the harvesting adversary.  An entry keeps the
+    payload it carried, not its ciphertext: the wire bytes are derived when
+    read (see ``repro.channels.base``).  A system no harness asked to
+    record keeps no transmissions, so renewed share generations die.
 ``steal_at_rest(object_id, share_indices)``
     The at-rest haul a compromise of those nodes yields.
 ``attempt_recovery(stolen, timeline, epoch)``
@@ -91,7 +91,8 @@ class ArchivalSystem(abc.ABC):
             nodes, require_distinct_providers=require_distinct_providers
         )
         self.transit = self._make_transit_channel()
-        self.transcript: list[TranscriptEntry] = []
+        #: Recorded wire transmissions; None until :meth:`record_transcript`.
+        self.transcript: list[TranscriptEntry] | None = None
         self._receipts: dict[str, StoreReceipt] = {}
         self._plaintext_bytes = 0
         self.epoch = 0
@@ -111,20 +112,31 @@ class ArchivalSystem(abc.ABC):
     def transit_security(self) -> SecurityNotion:
         return self.transit.notion
 
+    def record_transcript(self) -> list[TranscriptEntry]:
+        """Start recording every transmission this system sends; returns
+        the (live) transcript.  Call before the stores a harness harvests;
+        calling again returns the same list."""
+        if self.transcript is None:
+            self.transcript = []
+        return self.transcript
+
     def _send_share(self, node: StorageNode, object_id: str, index: int, payload: bytes) -> None:
         """Ship one share over the transit channel and store it.
 
         The channel runs no cipher here: the transmission carries the
         payload and derives its wire bytes only when an eavesdropper reads
         the transcript.  The node stores the object ``receive`` delivers,
-        which is the transmission's own payload.
+        which is the transmission's own payload.  Sending is the same
+        whether or not the wire is recorded, so sequence numbers,
+        ``bytes_sent`` and pad use never depend on it.
         """
         transmission = self.transit.send(payload)
-        self.transcript.append(
-            TranscriptEntry(
-                node_id=node.node_id, object_id=object_id, transmission=transmission
+        if self.transcript is not None:
+            self.transcript.append(
+                TranscriptEntry(
+                    node_id=node.node_id, object_id=object_id, transmission=transmission
+                )
             )
-        )
         delivered = self.transit.receive(transmission)
         self.placement_policy.put_with_retry(
             node, f"{object_id}/share-{index}", delivered, epoch=self.epoch

@@ -107,10 +107,12 @@ class TestFramework:
     def test_legacy_aliases_still_honored(self):
         broad = Finding("x.py", 1, 0, "ARCH001", "msg")
         dead = Finding("x.py", 1, 0, "ARCH002", "msg")
-        assert is_suppressed(broad, "except Exception:  # noqa: broad-except-ok")
         assert is_suppressed(dead, "import os  # noqa: unused-import-ok")
-        # Aliases are per-code: the old tags don't leak across rules.
+        # The retired broad-except tag suppresses nothing, on any rule.
+        assert not is_suppressed(broad, "except Exception:  # noqa: broad-except-ok")
         assert not is_suppressed(dead, "import os  # noqa: broad-except-ok")
+        # Aliases are per-code: the old tags don't leak across rules.
+        assert not is_suppressed(broad, "except Exception:  # noqa: unused-import-ok")
 
     def test_unparseable_file_is_an_error(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")

@@ -87,6 +87,7 @@ class TestArchivalSystemBase:
 
     def test_transcript_accumulates_per_share(self):
         system = self.make()
+        system.record_transcript()
         system.store("a", b"one")
         system.store("b", b"two")
         assert len(system.transcript) == 6  # 3 replicas x 2 objects

@@ -54,6 +54,8 @@ class TestHndlEndToEnd:
             make_node_fleet(2, providers=["aws"]), DeterministicRandom(2)
         )
         lincos = Lincos(make_node_fleet(5), DeterministicRandom(3))
+        cloud.record_transcript()
+        lincos.record_transcript()
         cloud.store("doc", b"over the wire")
         lincos.store("doc", b"over the wire")
 

@@ -1,21 +1,26 @@
-"""Lazy transit and the shares oracle.
+"""Lazy transit, the shares oracle, and memory that follows live data.
 
 A transmission carries its payload and derives its wire bytes when read;
-no receipt keeps a plaintext copy, and post-break recovery of a
+only a harness that asked to record the wire keeps transmissions; no
+receipt keeps a plaintext copy, and post-break recovery of a
 sub-threshold haul decodes the shares the nodes hold.  These tests pin
 that the wire bytes, the node contents and ``bytes_sent`` are exactly what
 an eager channel produces, that no store, renewal or repair runs the
-transit cipher, and that the oracle changes nothing a later call sees.
+transit cipher, that the oracle changes nothing a later call sees, and
+that neither renewed share generations nor retired signers' key slabs
+stay reachable from an archive.
 """
 
 import copy
 import gc
 import hashlib
+import sys
 import types
 
 import pytest
 
 from repro.channels import tls
+from repro.channels.base import Transmission
 from repro.core.archive import SecureArchive
 from repro.core.policy import CENTURY_SAFE, CENTURY_SAFE_ECONOMY, PRACTICAL_COMPUTATIONAL
 from repro.crypto.chacha20 import chacha20_xor
@@ -23,6 +28,8 @@ from repro.crypto.drbg import DeterministicRandom
 from repro.crypto.kdf import hkdf
 from repro.crypto.registry import BreakTimeline
 from repro.errors import StillSecureError
+from repro.integrity.auditor import ChainAuditor
+from repro.integrity.timestamp import MerkleChainVerifier
 from repro.obs import use_registry
 from repro.storage.faults import FaultPlan, FaultRule
 from repro.storage.node import make_node_fleet
@@ -97,6 +104,7 @@ def test_transcript_nodes_and_bytes_sent_match_eager_transit():
             digest.update(part)
 
     for system in _pinned_systems():
+        system.record_transcript()
         _exercise(system)
         feed(system.name)
         for entry in system.transcript:
@@ -111,6 +119,7 @@ def test_transcript_nodes_and_bytes_sent_match_eager_transit():
 
 def test_store_renewal_and_repair_run_no_transit_cipher(monkeypatch):
     archive = _QuickArchive(CENTURY_SAFE, make_node_fleet(6), DeterministicRandom(b"lazy"))
+    archive.record_transcript()
     data = DeterministicRandom(b"lazy-data").bytes(3000)
 
     def refuse(*args):
@@ -143,9 +152,11 @@ def test_store_renewal_and_repair_run_no_transit_cipher(monkeypatch):
         assert stored is delivered[(node_id, "doc")]
 
 
-def _reachable(*roots):
-    """Every object reachable from *roots* (classes, modules, functions aside)."""
-    seen = {}
+def _reachable(*roots, skip=()):
+    """Every object reachable from *roots* without passing through *skip*
+    (classes, modules, functions aside)."""
+    seen = {id(obj) for obj in skip}
+    found = []
     stack = list(roots)
     while stack:
         obj = stack.pop()
@@ -153,9 +164,21 @@ def _reachable(*roots):
             obj, (type, types.ModuleType, types.FunctionType)
         ):
             continue
-        seen[id(obj)] = obj
+        seen.add(id(obj))
+        found.append(obj)
         stack.extend(gc.get_referents(obj))
-    return list(seen.values())
+    return found
+
+
+def _retained_bytes(*roots, skip=()):
+    return sum(sys.getsizeof(obj) for obj in _reachable(*roots, skip=skip))
+
+
+def _assert_no_plaintext(receipts, plaintexts):
+    held = _reachable(*receipts)
+    assert not any(isinstance(obj, memoryview) for obj in held)
+    blobs = [obj for obj in held if isinstance(obj, (bytes, bytearray))]
+    assert not any(blob == plain for blob in blobs for plain in plaintexts)
 
 
 def test_store_large_receipts_hold_no_plaintext_and_one_share_opens_after_break():
@@ -167,10 +190,7 @@ def test_store_large_receipts_hold_no_plaintext_and_one_share_opens_after_break(
     segments = [data[k * 4096 : (k + 1) * 4096] for k in range(len(receipts))]
     assert len(segments) == 3
 
-    held = _reachable(*receipts)
-    assert not any(isinstance(obj, memoryview) for obj in held)
-    blobs = [obj for obj in held if isinstance(obj, (bytes, bytearray))]
-    assert not any(blob == plain for blob in blobs for plain in [data, *segments])
+    _assert_no_plaintext(receipts, [data, *segments])
 
     timeline = _break_at(5, "aes-256-ctr")
     timeline.schedule_break("sha256", 8)
@@ -180,6 +200,21 @@ def test_store_large_receipts_hold_no_plaintext_and_one_share_opens_after_break(
         with pytest.raises(StillSecureError):
             archive.attempt_recovery(receipt.object_id, haul, timeline, epoch=7)
         assert archive.attempt_recovery(receipt.object_id, haul, timeline, epoch=8) == segment
+
+
+def test_aontrs_receipts_hold_no_plaintext_and_one_share_opens_after_break():
+    system = AontRsArchive(make_node_fleet(6), DeterministicRandom(b"aontrs-receipt"))
+    plaintexts = [DeterministicRandom(b"aontrs-data").bytes(size) for size in (100, 4096)]
+    receipts = [system.store(f"doc-{i}", data) for i, data in enumerate(plaintexts)]
+    _assert_no_plaintext(receipts, plaintexts)
+
+    timeline = _break_at(5, "aes-256-ctr", "sha256")
+    for receipt, data in zip(receipts, plaintexts):
+        first = min(receipt.placement.node_by_share)
+        haul = system.steal_at_rest(receipt.object_id, share_indices=[first])
+        with pytest.raises(StillSecureError):
+            system.attempt_recovery(receipt.object_id, haul, timeline, epoch=4)
+        assert system.attempt_recovery(receipt.object_id, haul, timeline, epoch=5) == data
 
 
 def test_shares_oracle_changes_nothing_a_later_call_sees():
@@ -220,3 +255,40 @@ def test_shares_oracle_changes_nothing_a_later_call_sees():
     timeline = _break_at(1, "aes-256-ctr", "sha256")
     one = {offline: shares[offline]}
     assert system.attempt_recovery("doc", one, timeline, epoch=1) == data
+
+
+def test_renewal_and_signer_rollover_keep_memory_at_live_data():
+    archive = _QuickArchive(
+        CENTURY_SAFE_ECONOMY, make_node_fleet(8), DeterministicRandom(b"live-memory")
+    )
+    data = DeterministicRandom(b"live-memory-data")
+    for i in range(24):
+        archive.store(f"obj-{i}", data.bytes(4096))
+
+    def archive_bytes():
+        # The timestamp chain is the audit record; it grows by design.
+        return _retained_bytes(archive, skip=(archive.chain,))
+
+    # A 16-key signer rolls over every 14 renewal epochs, so two rollovers
+    # land between the two measurements.
+    for _ in range(28):
+        assert archive.advance_epoch().objects_renewed == 24
+    at_e, signers = archive_bytes(), len(archive.signer_history)
+    for _ in range(28):
+        archive.advance_epoch()
+    at_2e = archive_bytes()
+
+    assert len(archive.signer_history) - signers >= 2
+    assert abs(at_2e - at_e) <= 0.01 * at_e, (at_e, at_2e)
+    # No harness asked to record the wire, so no transmission survives.
+    assert archive.transcript is None
+    assert not any(isinstance(obj, Transmission) for obj in _reachable(archive))
+    # Retired signers are verifiers holding a root, and still audit the chain.
+    auditor = ChainAuditor({})
+    for signer in archive.signer_history[:-1]:
+        assert isinstance(signer, MerkleChainVerifier)
+        assert _retained_bytes(signer) < 1024
+        auditor.register(signer)
+    auditor.register(archive.signer_history[-1])
+    verdict = auditor.audit(archive.chain, BreakTimeline(), now_epoch=archive.epoch)
+    assert verdict.valid, verdict.explain()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hmac_ import hmac_sha256, verify_hmac_sha256
+from repro.crypto.hmac_ import constant_time_eq, hmac_sha256, verify_hmac_sha256
 from repro.crypto.kdf import derive_subkey, hkdf, hkdf_expand, hkdf_extract
 from repro.crypto.sha256 import sha256, sha256_hex, sha256_pure, sha256_rows
 from repro.errors import ParameterError
@@ -97,6 +97,35 @@ class TestHmac:
 
     def test_verify_rejects_wrong_length(self):
         assert not verify_hmac_sha256(b"key", b"msg", b"short")
+
+
+class TestConstantTimeEq:
+    DIGEST = sha256_hex(b"stored object")
+
+    def test_equal(self):
+        assert constant_time_eq(b"\x00tag\xff", b"\x00tag\xff")
+        assert constant_time_eq(b"", b"")
+        assert constant_time_eq(bytearray(b"tag"), b"tag")
+
+    def test_unequal(self):
+        assert not constant_time_eq(b"\x00tag\xff", b"\x00tag\xfe")
+        assert not constant_time_eq(b"\x01tag\xff", b"\x00tag\xff")
+
+    def test_length_mismatch(self):
+        assert not constant_time_eq(b"tag", b"tag\x00")
+        assert not constant_time_eq(b"", b"\x00")
+        assert not constant_time_eq(self.DIGEST, self.DIGEST[:-1])
+
+    def test_str_hex_digests(self):
+        twin = sha256_hex(b"stored object")
+        assert constant_time_eq(self.DIGEST, twin)
+        assert not constant_time_eq(self.DIGEST, sha256_hex(b"stored objecT"))
+
+    def test_mixed_str_and_bytes(self):
+        assert constant_time_eq(self.DIGEST, self.DIGEST.encode())
+        assert constant_time_eq(self.DIGEST.encode(), self.DIGEST)
+        assert not constant_time_eq(self.DIGEST, sha256_hex(b"other").encode())
+        assert not constant_time_eq(self.DIGEST.encode(), self.DIGEST[:32])
 
 
 class TestHkdf:

@@ -75,6 +75,7 @@ class TestCloud:
 
     def test_transcript_records_wire(self, data):
         system = self.make()
+        system.record_transcript()
         system.store("doc", data)
         assert len(system.transcript) == 1
         assert system.transcript[0].transmission.wire != data

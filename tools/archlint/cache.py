@@ -62,7 +62,7 @@ def _finding_from_list(raw: list) -> Finding:
 
 
 #: Distinct fingerprints kept side by side, so ``make lint`` (all rules) and
-#: ``make lint-graph`` (--select) don't evict each other's entries.
+#: a ``--select`` run don't evict each other's entries.
 _MAX_BUCKETS = 8
 
 

@@ -300,10 +300,9 @@ def matches_secret_vocabulary(identifier: str, vocabulary: Iterable[str]) -> boo
 #: ``# noqa`` / ``# noqa: ARCH001, ARCH004`` / legacy tag forms.
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Za-z0-9_,\- ]+))?", re.I)
 
-#: Pre-archlint suppression tags kept working so the fold-in of the old
-#: Makefile grep gate and tools/lint_imports.py breaks no existing comment.
+#: Pre-archlint suppression tag kept working from the fold-in of the
+#: retired tools/lint_imports.py shim.
 LEGACY_SUPPRESSIONS = {
-    "ARCH001": frozenset({"broad-except-ok"}),
     "ARCH002": frozenset({"unused-import-ok"}),
 }
 

@@ -6,9 +6,9 @@ keeps going.  PR 1 purged those; this rule (the AST successor of the old
 Makefile grep gate) keeps them out.  Unlike the grep it also catches the
 tuple form ``except (ValueError, Exception):`` and ``BaseException``.
 
-Suppress with ``# noqa: ARCH001`` (legacy ``# noqa: broad-except-ok`` still
-honored) on handlers that re-raise or deliberately firewall a boundary --
-the comment is the justification the next reader needs.
+Suppress with ``# noqa: ARCH001 -- <reason>`` on handlers that re-raise or
+deliberately firewall a boundary -- the reason is the justification the
+next reader needs.
 """
 
 from __future__ import annotations
