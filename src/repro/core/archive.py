@@ -25,7 +25,6 @@ from typing import Sequence
 from repro.core.policy import ArchivePolicy, ConfidentialityTarget
 from repro.crypto.drbg import DeterministicRandom
 from repro.crypto.commitments import PedersenCommitment
-from repro.crypto.registry import BreakTimeline
 from repro.errors import (
     DecodingError,
     ObjectNotFoundError,
@@ -42,11 +41,11 @@ from repro.obs import metrics as _metrics
 from repro.obs.profiling import profiled
 from repro.obs.tracing import span
 from repro.secretsharing.aontrs import AontRsDispersal
-from repro.secretsharing.base import Share
+from repro.secretsharing.base import SplitResult
 from repro.secretsharing.leakage import LeakageResilientSharing
 from repro.secretsharing.packed import PackedSecretSharing
 from repro.secretsharing.shamir import ShamirSecretSharing
-from repro.systems.base import ArchivalSystem, StoreReceipt
+from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, split_payloads
 
 
 @dataclass
@@ -190,27 +189,37 @@ class SecureArchive(ArchivalSystem):
         with self._client_lock, span("archive.store", object_id=object_id):
             return self._store(object_id, data)
 
-    def _store(self, object_id: str, data: bytes, split=None) -> StoreReceipt:
+    def _store(self, object_id: str, data: bytes, encoded=None) -> StoreReceipt:
         """Disperse, timestamp and record one object.
 
-        *split* lets the batch path hand in a share split computed off the
-        archive's own rng (store_batch encodes items on worker threads,
-        each with a child DRBG); when absent the archive rng is used.
+        *encoded* lets the batch path hand in an encoding computed off the
+        archive's own rng (store_batch splits items on worker threads, each
+        with a child DRBG); when absent the archive rng is used.
         """
         _metrics.inc("archive_ops_total", op="store")
         _metrics.inc("archive_store_bytes_total", len(data))
-        if object_id in self._receipts:
-            raise ParameterError(
-                f"{self.name}: object {object_id!r} already stored "
-                "(delete it before re-storing)"
-            )
+        self._reject_known(object_id)
         # Hash-based signers are finite-use; a long ingest stream must not
         # crash mid-epoch when the key budget runs out.
         self._rollover_signer_if_needed()
-        if split is None:
-            split = self._scheme.split(data, self.rng)
-        payloads = {share.index: share.payload for share in split.shares}
-        placement = self._store_shares(object_id, payloads)
+        return self._commit(object_id, data, *(encoded or self._encode(object_id, data, None)))
+
+    def _encode(self, object_id, data, like):
+        return self._encoded(self._scheme.split(data, self.rng))
+
+    @staticmethod
+    def _encoded(split: SplitResult) -> tuple[dict[int, bytes], dict, dict]:
+        metadata = {
+            "scheme": split.scheme,
+            "threshold": split.threshold,
+            "public": dict(split.public),
+        }
+        return split_payloads(split), metadata, {}
+
+    def _seal(self, receipt: StoreReceipt, data: bytes) -> None:
+        # Renewal and repair re-encode the same data: its timestamp stands.
+        if "chain_index" in receipt.metadata:
+            return
         link, opening = self.authority.timestamp_document(
             self.chain,
             data,
@@ -219,54 +228,33 @@ class SecureArchive(ArchivalSystem):
             pedersen=self.commitments if self.policy.information_theoretic else None,
             rng=self.rng if self.policy.information_theoretic else None,
         )
-        receipt = StoreReceipt(
-            object_id=object_id,
-            original_length=len(data),
-            placement=placement,
-            metadata={
-                "scheme": split.scheme,
-                "threshold": split.threshold,
-                "public": dict(split.public),
-                "chain_index": link.index,
-            },
-            escrow={"commitment_opening": opening},
-        )
-        return self._record(receipt)
+        receipt.metadata["chain_index"] = link.index
+        receipt.escrow["commitment_opening"] = opening
 
     def retrieve(self, object_id: str) -> bytes:
         with self._client_lock, span("archive.retrieve", object_id=object_id):
             _metrics.inc("archive_ops_total", op="retrieve")
-            receipt = self.receipt(object_id)
             # Degraded read: stop at the scheme's decode threshold; shares
             # that failed their digests get repaired after the decode.
-            fetched = self._fetch_shares(
-                receipt, need=receipt.metadata["threshold"]
-            )
-            data = self._decode(receipt, fetched)
-            data = self._finish_read(object_id, data)
+            data = super().retrieve(object_id)
             _metrics.inc("archive_retrieve_bytes_total", len(data))
             return data
 
+    def _quorum(self, receipt: StoreReceipt) -> int:
+        return receipt.metadata["threshold"]
+
     def _decode(self, receipt: StoreReceipt, fetched: dict[int, bytes]) -> bytes:
-        scheme = self._scheme
-        shares = [
-            Share(scheme=receipt.metadata["scheme"], index=i, payload=p)
-            for i, p in fetched.items()
-        ]
-        if len(shares) < receipt.metadata["threshold"]:
-            raise DecodingError(
-                f"{receipt.object_id}: {len(shares)} shares held, "
-                f"{receipt.metadata['threshold']} needed"
+        meta = receipt.metadata
+        return self._scheme.reconstruct(
+            SplitResult(
+                scheme=meta["scheme"],
+                shares=tuple(as_shares(meta["scheme"], fetched)),
+                threshold=meta["threshold"],
+                total=self.policy.n,
+                original_length=receipt.original_length,
+                public=meta["public"],
             )
-        if isinstance(scheme, ShamirSecretSharing):
-            return scheme.reconstruct(shares)[: receipt.original_length]
-        if isinstance(scheme, PackedSecretSharing):
-            return scheme.reconstruct(shares, original_length=receipt.original_length)
-        if isinstance(scheme, LeakageResilientSharing):
-            return scheme.reconstruct(
-                shares, masked_message=receipt.metadata["public"]["masked_message"]
-            )
-        return scheme.reconstruct(shares, original_length=receipt.original_length)
+        )
 
     # -- batch ingest ------------------------------------------------------------------
 
@@ -317,15 +305,15 @@ class SecureArchive(ArchivalSystem):
                 DeterministicRandom(self.rng.bytes(32)) for _ in items
             ]
             with ThreadPoolExecutor(max_workers=self._BATCH_WORKERS) as pool:
-                splits = list(
+                encodings = list(
                     pool.map(
-                        lambda pair: self._scheme.split(pair[0][1], pair[1]),
+                        lambda pair: self._encoded(self._scheme.split(pair[0][1], pair[1])),
                         zip(items, child_rngs),
                     )
                 )
             receipts = [
-                self._store(object_id, data, split=split)
-                for (object_id, data), split in zip(items, splits)
+                self._store(object_id, data, encoded=encoded)
+                for (object_id, data), encoded in zip(items, encodings)
             ]
         _metrics.observe(
             "archive_batch_seconds", time.perf_counter() - start, op="store"
@@ -347,21 +335,19 @@ class SecureArchive(ArchivalSystem):
             for object_id in object_ids:
                 _metrics.inc("archive_ops_total", op="retrieve")
                 receipt = self.receipt(object_id)
-                fetched = self._fetch_shares(
-                    receipt, need=receipt.metadata["threshold"]
-                )
+                fetched = self._fetch_shares(receipt, need=self._quorum(receipt))
                 fetched_by_id.append((receipt, fetched, self.last_read_report))
             with ThreadPoolExecutor(max_workers=self._BATCH_WORKERS) as pool:
                 decoded = list(
                     pool.map(
-                        lambda entry: self._decode(entry[0], entry[1]),
+                        lambda entry: self._checked_decode(entry[0], entry[1]),
                         fetched_by_id,
                     )
                 )
             results = []
             for (receipt, _, report), data in zip(fetched_by_id, decoded):
                 self.last_read_report = report
-                data = self._finish_read(receipt.object_id, data)
+                data = self._finish_read(receipt, data)
                 _metrics.inc("archive_retrieve_bytes_total", len(data))
                 results.append(data)
         _metrics.observe(
@@ -547,50 +533,4 @@ class SecureArchive(ArchivalSystem):
         proactive benchmark.  Packed and LRSS targets refresh the same way.
         """
         receipt = self.receipt(object_id)
-        data = self.retrieve(object_id)
-        self.placement_policy.delete(receipt.placement)
-        return self._resplit_and_replace(receipt, data)
-
-    def _resplit_and_replace(self, receipt: StoreReceipt, data: bytes) -> int:
-        """Re-encode *data* under a fresh split and replace the placement
-        (shared by proactive renewal and repair-on-read)."""
-        split = self._scheme.split(data, self.rng)
-        payloads = {share.index: share.payload for share in split.shares}
-        receipt.placement = self._store_shares(receipt.object_id, payloads)
-        receipt.metadata["public"] = dict(split.public)
-        return sum(len(p) for p in payloads.values())
-
-    def _repair_on_read(self, object_id, data, report) -> None:
-        """Repair a degraded object without re-timestamping: drop the old
-        placement (including the rotted shares) and re-split in place."""
-        receipt = self.receipt(object_id)
-        self.placement_policy.delete(receipt.placement)
-        self._resplit_and_replace(receipt, data)
-        report.shares_repaired = len(report.repair_candidates)
-        _metrics.inc("repairs_on_read_total", report.shares_repaired)
-
-    # -- adversary -------------------------------------------------------------------------
-
-    def attempt_recovery(
-        self,
-        object_id: str,
-        stolen: dict[int, bytes],
-        timeline: BreakTimeline,
-        epoch: int,
-    ) -> bytes:
-        receipt = self.receipt(object_id)
-        threshold = receipt.metadata["threshold"]
-        if self.policy.target is ConfidentialityTarget.COMPUTATIONAL:
-            if len(stolen) >= threshold:
-                return self._decode(receipt, stolen)
-            if not stolen:
-                raise DecodingError(f"{object_id}: adversary holds no shares")
-            # The break opens the AONT key from one share; the simulation
-            # decodes the shares the nodes hold instead.
-            self._require_at_rest_broken(timeline, epoch)
-            return self._decode(receipt, self._held_shares(receipt))
-        # Information-theoretic targets: share counting only.  Note that
-        # shares stolen in different epochs belong to different polynomials;
-        # the facade's refresh replaces node contents, so `stolen` here is
-        # by construction a same-epoch haul.
-        return self._decode(receipt, stolen)
+        return self._reencode(receipt, self.retrieve(object_id))

@@ -36,7 +36,7 @@ def redact_secret(material: bytes | bytearray | memoryview | None) -> str:
     ``"<N bytes, sha256:xxxxxxxx>"`` -- enough to correlate two values in a
     debug session (equal digests <=> equal material, within sha256) while
     leaking nothing an adversary can invert.  Every ``__repr__`` of a
-    key/share-carrying dataclass routes through here.
+    dataclass carrying keys or shares routes through here.
     """
     if material is None:
         return "<none>"

@@ -182,7 +182,7 @@ class PlacementPolicy:
                 raise ParameterError(f"no payload for share index {index}")
             self.put_with_retry(
                 self.node(node_id),
-                _share_object_id(placement.object_id, index),
+                share_key(placement.object_id, index),
                 payload_by_share[index],
                 epoch=epoch,
             )
@@ -257,7 +257,7 @@ class PlacementPolicy:
                 break
             node_id = placement.node_by_share[index]
             node = self.node(node_id)
-            object_id = _share_object_id(placement.object_id, index)
+            object_id = share_key(placement.object_id, index)
             report.shares_tried += 1
             if not node.online:
                 _metrics.inc("storage_fetch_attempts_total")
@@ -344,7 +344,7 @@ class PlacementPolicy:
     def delete(self, placement: Placement) -> None:
         for index, node_id in placement.node_by_share.items():
             node = self.node(node_id)
-            object_id = _share_object_id(placement.object_id, index)
+            object_id = share_key(placement.object_id, index)
             if node.online and node.contains(object_id):
                 node.delete(object_id)
 
@@ -352,5 +352,6 @@ class PlacementPolicy:
         return sum(node.bytes_stored for node in self.nodes.values())
 
 
-def _share_object_id(object_id: str, share_index: int) -> str:
+def share_key(object_id: str, share_index: int) -> str:
+    """The node key share *share_index* of *object_id* is stored under."""
     return f"{object_id}/share-{share_index}"

@@ -26,13 +26,11 @@ from __future__ import annotations
 
 from repro.crypto.hmac_ import hmac_sha256
 from repro.crypto.kdf import derive_subkey
-from repro.crypto.registry import BreakTimeline
-from repro.errors import DecodingError, IntegrityError, ParameterError
-from repro.secretsharing.base import Share
+from repro.errors import IntegrityError, ParameterError
 from repro.secretsharing.redistribution import redistribute
 from repro.secretsharing.shamir import ShamirSecretSharing
 from repro.secretsharing.verifiable import ProactiveVSS
-from repro.systems.base import ArchivalSystem, StoreReceipt
+from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, split_payloads
 from repro.systems.ledger import LedgerEntry, SimulatedLedger
 
 
@@ -83,51 +81,40 @@ class HasDpss(ArchivalSystem):
 
     # -- store / retrieve ------------------------------------------------------------------
 
-    def store(self, object_id: str, data: bytes) -> StoreReceipt:
+    def _encode(self, object_id, data, like):
         split = self.scheme.split(data, self.rng)
-        payloads = {s.index: s.payload for s in split.shares}
-        placement = self._store_shares(object_id, payloads)
+        return split_payloads(split), {"n": self.scheme.n, "t": self.scheme.t}, {}
+
+    def _seal(self, receipt: StoreReceipt, data: bytes) -> None:
         # Authentication tag under the object's hierarchical key, recorded
         # on the ledger so retrievals can be audited.
-        tag = hmac_sha256(self.derive_path_key(object_id), data)
+        tag = hmac_sha256(self.derive_path_key(receipt.object_id), data).hex()
         self.ledger.append(
             [
                 LedgerEntry(
                     kind="object",
                     content={
-                        "object_id": object_id,
-                        "tag": tag.hex(),
-                        "n": self.scheme.n,
-                        "t": self.scheme.t,
+                        "object_id": receipt.object_id,
+                        "tag": tag,
+                        "n": receipt.metadata["n"],
+                        "t": receipt.metadata["t"],
                     },
                 )
             ]
         )
-        receipt = StoreReceipt(
-            object_id=object_id,
-            original_length=len(data),
-            placement=placement,
-            metadata={"n": self.scheme.n, "t": self.scheme.t, "tag": tag.hex()},
-        )
-        return self._record(receipt)
+        receipt.metadata["tag"] = tag
 
-    def retrieve(self, object_id: str) -> bytes:
-        receipt = self.receipt(object_id)
+    def _quorum(self, receipt: StoreReceipt) -> int:
         # Degraded read: any t committee shares reconstruct.
-        fetched = self._fetch_shares(receipt, need=receipt.metadata["t"])
-        shares = [
-            Share(scheme="shamir", index=i, payload=p) for i, p in fetched.items()
-        ]
+        return receipt.metadata["t"]
+
+    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> bytes:
         scheme = ShamirSecretSharing(receipt.metadata["n"], receipt.metadata["t"])
-        if len(shares) < scheme.t:
-            raise DecodingError(
-                f"{object_id}: need {scheme.t} shares, have {len(shares)}"
-            )
-        data = scheme.reconstruct(shares)[: receipt.original_length]
-        expected = hmac_sha256(self.derive_path_key(object_id), data)
+        data = scheme.reconstruct(as_shares("shamir", shares))[: receipt.original_length]
+        expected = hmac_sha256(self.derive_path_key(receipt.object_id), data)
         if expected.hex() != receipt.metadata["tag"]:
-            raise IntegrityError(f"{object_id}: authentication tag mismatch")
-        return self._finish_read(object_id, data)
+            raise IntegrityError(f"{receipt.object_id}: authentication tag mismatch")
+        return data
 
     # -- dynamism ------------------------------------------------------------------------------
 
@@ -136,23 +123,18 @@ class HasDpss(ArchivalSystem):
         if not 1 <= new_t <= new_n:
             raise ParameterError(f"invalid committee parameters n={new_n} t={new_t}")
         new_scheme = ShamirSecretSharing(new_n, new_t)
-        for object_id in list(self._receipts):
-            receipt = self.receipt(object_id)
+        for receipt in list(self._receipts.values()):
             old_scheme = ShamirSecretSharing(
                 receipt.metadata["n"], receipt.metadata["t"]
             )
-            fetched = self._fetch_shares(receipt)
-            old_shares = [
-                Share(scheme="shamir", index=i, payload=p)
-                for i, p in fetched.items()
-            ]
             new_split, _ = redistribute(
-                old_scheme, old_shares, new_scheme, receipt.original_length, self.rng
+                old_scheme,
+                as_shares("shamir", self._fetch_shares(receipt)),
+                new_scheme,
+                receipt.original_length,
+                self.rng,
             )
-            self.placement_policy.delete(receipt.placement)
-            receipt.placement = self._store_shares(
-                object_id, {s.index: s.payload for s in new_split.shares}
-            )
+            self._replace_shares(receipt, split_payloads(new_split))
             receipt.metadata.update({"n": new_n, "t": new_t})
         # Key plane: fresh proactive round plus a new deal record.
         self.key_plane.renew(self.rng)
@@ -172,20 +154,3 @@ class HasDpss(ArchivalSystem):
 
     def audit_ledger(self) -> None:
         self.ledger.verify()
-
-    # -- adversary ---------------------------------------------------------------------------------
-
-    def attempt_recovery(
-        self,
-        object_id: str,
-        stolen: dict[int, bytes],
-        timeline: BreakTimeline,
-        epoch: int,
-    ) -> bytes:
-        del timeline, epoch
-        receipt = self.receipt(object_id)
-        scheme = ShamirSecretSharing(receipt.metadata["n"], receipt.metadata["t"])
-        shares = [
-            Share(scheme="shamir", index=i, payload=p) for i, p in stolen.items()
-        ]
-        return scheme.reconstruct(shares)[: receipt.original_length]

@@ -21,16 +21,13 @@ from __future__ import annotations
 
 from repro.channels.qkd import QkdLink
 from repro.crypto.commitments import PedersenCommitment
-from repro.crypto.registry import BreakTimeline
-from repro.errors import DecodingError
 from repro.integrity.timestamp import (
     MerkleChainSigner,
     TimestampAuthority,
     TimestampChain,
 )
-from repro.secretsharing.base import Share
 from repro.secretsharing.shamir import ShamirSecretSharing
-from repro.systems.base import ArchivalSystem, StoreReceipt
+from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, split_payloads
 
 
 class Lincos(ArchivalSystem):
@@ -62,10 +59,11 @@ class Lincos(ArchivalSystem):
             self.key_generation_seconds += needed
         super()._send_share(node, object_id, index, payload)
 
-    def store(self, object_id: str, data: bytes) -> StoreReceipt:
+    def _encode(self, object_id, data, like):
         split = self.scheme.split(data, self.rng)
-        payloads = {share.index: share.payload for share in split.shares}
-        placement = self._store_shares(object_id, payloads)
+        return split_payloads(split), {"n": self.scheme.n, "t": self.scheme.t}, {}
+
+    def _seal(self, receipt: StoreReceipt, data: bytes) -> None:
         # Timestamp the object under a perfectly hiding commitment.
         link, opening = self.authority.timestamp_document(
             self.chain,
@@ -75,48 +73,16 @@ class Lincos(ArchivalSystem):
             pedersen=self.commitments,
             rng=self.rng,
         )
-        receipt = StoreReceipt(
-            object_id=object_id,
-            original_length=len(data),
-            placement=placement,
-            metadata={
-                "n": self.scheme.n,
-                "t": self.scheme.t,
-                "chain_index": link.index,
-            },
-            escrow={"commitment_opening": opening},
-        )
-        return self._record(receipt)
+        receipt.metadata["chain_index"] = link.index
+        receipt.escrow["commitment_opening"] = opening
 
-    def retrieve(self, object_id: str) -> bytes:
-        receipt = self.receipt(object_id)
-        # Degraded read: any t shares reconstruct the polynomial.
-        fetched = self._fetch_shares(receipt, need=self.scheme.t)
-        shares = [
-            Share(scheme="shamir", index=i, payload=p) for i, p in fetched.items()
-        ]
-        if len(shares) < self.scheme.t:
-            raise DecodingError(
-                f"{object_id}: only {len(shares)} shares available, "
-                f"need {self.scheme.t}"
-            )
-        data = self.scheme.reconstruct(shares)[: receipt.original_length]
-        return self._finish_read(object_id, data)
+    def _quorum(self, receipt: StoreReceipt) -> int:
+        # Degraded read, and the ITS adversary: any t shares reconstruct the
+        # polynomial, fewer reveal nothing.
+        return receipt.metadata["t"]
 
-    def attempt_recovery(
-        self,
-        object_id: str,
-        stolen: dict[int, bytes],
-        timeline: BreakTimeline,
-        epoch: int,
-    ) -> bytes:
-        """ITS at rest: only a threshold of shares ever works."""
-        del timeline, epoch
-        receipt = self.receipt(object_id)
-        shares = [
-            Share(scheme="shamir", index=i, payload=p) for i, p in stolen.items()
-        ]
-        return self.scheme.reconstruct(shares)[: receipt.original_length]
+    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> bytes:
+        return self.scheme.reconstruct(as_shares("shamir", shares))[: receipt.original_length]
 
     # -- integrity service --------------------------------------------------------------
 

@@ -22,13 +22,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.crypto.registry import BreakTimeline
-from repro.errors import DecodingError, ParameterError
+from repro.errors import ParameterError
 from repro.gmath.reedsolomon import ReedSolomonCode, Shard
-from repro.secretsharing.base import Share
 from repro.secretsharing.shamir import ShamirSecretSharing
 from repro.security import SecurityNotion
-from repro.systems.base import ArchivalSystem, StoreReceipt
+from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, split_payloads
 
 
 class PasisPolicy(enum.Enum):
@@ -47,6 +45,15 @@ class PasisParameters:
     n: int
     threshold: int  # copies needed / k / t depending on policy
 
+    def metadata(self) -> dict:
+        """The receipt metadata an object stored under these parameters
+        carries; :meth:`from_metadata` reads it back."""
+        return {"policy": self.policy.value, "n": self.n, "threshold": self.threshold}
+
+    @classmethod
+    def from_metadata(cls, metadata: dict) -> "PasisParameters":
+        return cls(PasisPolicy(metadata["policy"]), metadata["n"], metadata["threshold"])
+
 
 class Pasis(ArchivalSystem):
     """Per-object policy engine over a shared provider fleet."""
@@ -60,13 +67,11 @@ class Pasis(ArchivalSystem):
         self.default_parameters = default_parameters or PasisParameters(
             PasisPolicy.SHAMIR, n=5, threshold=3
         )
-        self._parameters: dict[str, PasisParameters] = {}
 
     # -- policy-dependent classification ------------------------------------------------
 
     def at_rest_security_for(self, object_id: str) -> SecurityNotion:
-        params = self._parameters[object_id]
-        if params.policy.confidential:
+        if PasisPolicy(self.receipt(object_id).metadata["policy"]).confidential:
             return SecurityNotion.INFORMATION_THEORETIC
         return SecurityNotion.NONE
 
@@ -74,9 +79,9 @@ class Pasis(ArchivalSystem):
     def at_rest_security(self) -> SecurityNotion:
         """Fleet-level answer: ITS only if *every* stored object used a
         confidential policy -- Table 1's 'ITS (sometimes)'."""
-        if not self._parameters:
+        if not self._receipts:
             return SecurityNotion.NONE
-        notions = {self.at_rest_security_for(oid) for oid in self._parameters}
+        notions = {self.at_rest_security_for(oid) for oid in self._receipts}
         if notions == {SecurityNotion.INFORMATION_THEORETIC}:
             return SecurityNotion.INFORMATION_THEORETIC
         return SecurityNotion.NONE
@@ -90,73 +95,37 @@ class Pasis(ArchivalSystem):
         parameters: PasisParameters | None = None,
     ) -> StoreReceipt:
         params = parameters or self.default_parameters
-        payloads = self._encode(data, params)
-        placement = self._store_shares(object_id, payloads)
-        self._parameters[object_id] = params
-        receipt = StoreReceipt(
-            object_id=object_id,
-            original_length=len(data),
-            placement=placement,
-            metadata={
-                "policy": params.policy.value,
-                "n": params.n,
-                "threshold": params.threshold,
-            },
-        )
-        return self._record(receipt)
+        return self._ingest(object_id, data, like=params.metadata())
 
-    def _encode(self, data: bytes, params: PasisParameters) -> dict[int, bytes]:
+    def _encode(self, object_id, data, like):
+        # *like* is always set: store passes the chosen parameters, and a
+        # repair keeps the object's own policy, not the default one.
+        params = PasisParameters.from_metadata(like)
         if params.policy is PasisPolicy.REPLICATION:
             if params.n < 1:
                 raise ParameterError("replication needs n >= 1")
-            return {i: data for i in range(params.n)}
-        if params.policy is PasisPolicy.ERASURE:
+            payloads = {i: data for i in range(params.n)}
+        elif params.policy is PasisPolicy.ERASURE:
             code = ReedSolomonCode(params.n, params.threshold)
-            return {s.index: s.data for s in code.encode(data)}
-        scheme = ShamirSecretSharing(params.n, params.threshold)
-        return {s.index: s.payload for s in scheme.split(data, self.rng).shares}
+            payloads = {s.index: s.data for s in code.encode(data)}
+        else:
+            scheme = ShamirSecretSharing(params.n, params.threshold)
+            payloads = split_payloads(scheme.split(data, self.rng))
+        return payloads, params.metadata(), {}
 
-    def retrieve(self, object_id: str) -> bytes:
-        receipt = self.receipt(object_id)
+    def _quorum(self, receipt: StoreReceipt) -> int:
         # Degraded read: the per-object policy's threshold is the quorum.
-        fetched = self._fetch_shares(receipt, need=receipt.metadata["threshold"])
-        return self._finish_read(
-            object_id, self._decode(object_id, fetched, receipt.original_length)
-        )
+        # Replication and erasure give the adversary plaintext at it (no
+        # confidentiality); Shamir needs it -- and never breaks.
+        return receipt.metadata["threshold"]
 
-    def _repair_store(self, object_id: str, data: bytes) -> None:
-        # Repair must keep the object's own policy, not the default one.
-        self.store(object_id, data, self._parameters[object_id])
-
-    def _decode(
-        self, object_id: str, shares: dict[int, bytes], original_length: int
-    ) -> bytes:
-        params = self._parameters[object_id]
-        if not shares:
-            raise DecodingError(f"{object_id}: no shares available")
+    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> bytes:
+        params = PasisParameters.from_metadata(receipt.metadata)
         if params.policy is PasisPolicy.REPLICATION:
-            return next(iter(shares.values()))[:original_length]
+            return next(iter(shares.values()))[: receipt.original_length]
         if params.policy is PasisPolicy.ERASURE:
             code = ReedSolomonCode(params.n, params.threshold)
             shards = [Shard(index=i, data=p) for i, p in shares.items()]
-            return code.decode(shards, original_length)
+            return code.decode(shards, receipt.original_length)
         scheme = ShamirSecretSharing(params.n, params.threshold)
-        share_objs = [
-            Share(scheme="shamir", index=i, payload=p) for i, p in shares.items()
-        ]
-        return scheme.reconstruct(share_objs)[:original_length]
-
-    # -- adversary ------------------------------------------------------------------------------
-
-    def attempt_recovery(
-        self,
-        object_id: str,
-        stolen: dict[int, bytes],
-        timeline: BreakTimeline,
-        epoch: int,
-    ) -> bytes:
-        """Replication/erasure yield plaintext immediately (no
-        confidentiality); Shamir requires a threshold -- and never breaks."""
-        del timeline, epoch
-        receipt = self.receipt(object_id)
-        return self._decode(object_id, stolen, receipt.original_length)
+        return scheme.reconstruct(as_shares("shamir", shares))[: receipt.original_length]

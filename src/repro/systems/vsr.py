@@ -22,12 +22,10 @@ impractical for the same reasons as re-encryption."
 
 from __future__ import annotations
 
-from repro.crypto.registry import BreakTimeline
-from repro.errors import DecodingError, ParameterError
-from repro.secretsharing.base import Share
+from repro.errors import ParameterError
 from repro.secretsharing.redistribution import RedistributionReport, redistribute
 from repro.secretsharing.shamir import ShamirSecretSharing
-from repro.systems.base import ArchivalSystem, StoreReceipt
+from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, split_payloads
 
 
 class VsrArchive(ArchivalSystem):
@@ -44,36 +42,21 @@ class VsrArchive(ArchivalSystem):
         #: Epoch tag carried by every live share set, bumped per refresh.
         self.share_generation = 0
 
-    def store(self, object_id: str, data: bytes) -> StoreReceipt:
-        split = self.scheme.split(data, self.rng)
-        payloads = {s.index: s.payload for s in split.shares}
-        placement = self._store_shares(object_id, payloads)
-        receipt = StoreReceipt(
-            object_id=object_id,
-            original_length=len(data),
-            placement=placement,
-            metadata={
-                "n": self.scheme.n,
-                "t": self.scheme.t,
-                "generation": self.share_generation,
-            },
-        )
-        return self._record(receipt)
+    def _encode(self, object_id, data, like):
+        metadata = {
+            "n": self.scheme.n,
+            "t": self.scheme.t,
+            "generation": self.share_generation,
+        }
+        return split_payloads(self.scheme.split(data, self.rng)), metadata, {}
 
-    def retrieve(self, object_id: str) -> bytes:
-        receipt = self.receipt(object_id)
-        scheme = self._scheme_for(receipt)
+    def _quorum(self, receipt: StoreReceipt) -> int:
         # Degraded read: any t shares of the current generation suffice.
-        fetched = self._fetch_shares(receipt, need=scheme.t)
-        shares = [
-            Share(scheme="shamir", index=i, payload=p) for i, p in fetched.items()
-        ]
-        if len(shares) < scheme.t:
-            raise DecodingError(
-                f"{object_id}: need {scheme.t} shares, have {len(shares)}"
-            )
-        data = scheme.reconstruct(shares)[: receipt.original_length]
-        return self._finish_read(object_id, data)
+        return receipt.metadata["t"]
+
+    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> bytes:
+        scheme = self._scheme_for(receipt)
+        return scheme.reconstruct(as_shares("shamir", shares))[: receipt.original_length]
 
     def _scheme_for(self, receipt: StoreReceipt) -> ShamirSecretSharing:
         return ShamirSecretSharing(receipt.metadata["n"], receipt.metadata["t"])
@@ -90,23 +73,16 @@ class VsrArchive(ArchivalSystem):
             raise ParameterError(f"invalid new parameters n={new_n} t={new_t}")
         new_scheme = ShamirSecretSharing(new_n, new_t)
         reports = []
-        for object_id in list(self._receipts):
-            receipt = self.receipt(object_id)
-            old_scheme = self._scheme_for(receipt)
-            fetched = self._fetch_shares(receipt)
-            old_shares = [
-                Share(scheme="shamir", index=i, payload=p)
-                for i, p in fetched.items()
-            ]
+        for receipt in list(self._receipts.values()):
             new_split, report = redistribute(
-                old_scheme, old_shares, new_scheme, receipt.original_length, self.rng
+                self._scheme_for(receipt),
+                as_shares("shamir", self._fetch_shares(receipt)),
+                new_scheme,
+                receipt.original_length,
+                self.rng,
             )
             reports.append(report)
-
-            self.placement_policy.delete(receipt.placement)
-            payloads = {s.index: s.payload for s in new_split.shares}
-            placement = self._store_shares(object_id, payloads)
-            receipt.placement = placement
+            self._replace_shares(receipt, split_payloads(new_split))
             receipt.metadata.update(
                 {"n": new_n, "t": new_t, "generation": self.share_generation + 1}
             )
@@ -114,20 +90,3 @@ class VsrArchive(ArchivalSystem):
         self.share_generation += 1
         self.redistribution_reports.extend(reports)
         return reports
-
-    # -- adversary -----------------------------------------------------------------------
-
-    def attempt_recovery(
-        self,
-        object_id: str,
-        stolen: dict[int, bytes],
-        timeline: BreakTimeline,
-        epoch: int,
-    ) -> bytes:
-        del timeline, epoch
-        receipt = self.receipt(object_id)
-        scheme = self._scheme_for(receipt)
-        shares = [
-            Share(scheme="shamir", index=i, payload=p) for i, p in stolen.items()
-        ]
-        return scheme.reconstruct(shares)[: receipt.original_length]

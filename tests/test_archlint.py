@@ -4,8 +4,8 @@ Each rule gets three fixture cases driven through the real engine against
 inline snippets: one that triggers, one silenced by ``# noqa: ARCHxxx``,
 one exempted by a config allowlist.  On top of that the suite pins the
 repo-level contract (``src/repro`` lints clean with the committed
-pyproject policy), the legacy suppression aliases from the pre-archlint
-gates, the baseline ratchet, and the CLI/JSON surface ``make lint`` uses.
+pyproject policy), that the retired pre-archlint suppression tags stay
+retired, the baseline ratchet, and the CLI/JSON surface ``make lint`` uses.
 """
 
 from __future__ import annotations
@@ -104,15 +104,13 @@ class TestFramework:
         assert not is_suppressed(finding, "tag == other  # noqa: ARCH001")
         assert not is_suppressed(finding, "tag == other")
 
-    def test_legacy_aliases_still_honored(self):
+    def test_retired_legacy_tags_suppress_nothing(self):
         broad = Finding("x.py", 1, 0, "ARCH001", "msg")
         dead = Finding("x.py", 1, 0, "ARCH002", "msg")
-        assert is_suppressed(dead, "import os  # noqa: unused-import-ok")
-        # The retired broad-except tag suppresses nothing, on any rule.
-        assert not is_suppressed(broad, "except Exception:  # noqa: broad-except-ok")
-        assert not is_suppressed(dead, "import os  # noqa: broad-except-ok")
-        # Aliases are per-code: the old tags don't leak across rules.
-        assert not is_suppressed(broad, "except Exception:  # noqa: unused-import-ok")
+        # Neither pre-archlint tag suppresses anything, on any rule.
+        for tag in ("unused-import-ok", "broad-except-ok"):
+            assert not is_suppressed(broad, f"except Exception:  # noqa: {tag}")
+            assert not is_suppressed(dead, f"import os  # noqa: {tag}")
 
     def test_unparseable_file_is_an_error(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")

@@ -475,12 +475,16 @@ class TestDuplicateIdRegression:
         assert archive.retrieve("doc") == b"second"
 
     def test_base_systems_reject_duplicates_too(self, registry):
-        from repro.systems.aontrs_system import AontRsArchive
-
-        system = AontRsArchive(make_node_fleet(7), DeterministicRandom(3), n=7, k=4)
-        system.store("doc", b"payload")
-        with pytest.raises(ParameterError, match="already stored"):
-            system.store("doc", b"payload again")
+        # The id is refused before anything is encoded or written: no
+        # orphan shares, no overwritten key material, no extra chain link
+        # or ledger record.
+        for system in _every_base_system(DeterministicRandom(3)):
+            system.store("doc", b"first version")
+            before = _node_keys(system), _audit_records(system)
+            with pytest.raises(ParameterError, match="already stored"):
+                system.store("doc", b"second version")
+            assert (_node_keys(system), _audit_records(system)) == before, system.name
+            assert system.retrieve("doc") == b"first version", system.name
 
     def test_store_batch_rejects_already_stored_ids(self, registry):
         archive = make_archive()
@@ -490,6 +494,33 @@ class TestDuplicateIdRegression:
         # The rejected batch must not have stored anything.
         with pytest.raises(Exception):
             archive.receipt("fresh")
+
+
+def _every_base_system(rng):
+    from repro import systems
+
+    yield systems.CloudProviderArchive(make_node_fleet(3, providers=["aws"]), rng, replication=2)
+    yield systems.ArchiveSafeLT(make_node_fleet(2, providers=["org"]), rng, replication=2)
+    yield systems.AontRsArchive(make_node_fleet(7), rng, n=7, k=4)
+    yield systems.Potshards(make_node_fleet(8), rng)
+    yield systems.Lincos(make_node_fleet(5), rng)
+    yield systems.Pasis(make_node_fleet(8), rng)
+    yield systems.VsrArchive(make_node_fleet(8), rng)
+    yield systems.HasDpss(make_node_fleet(8), rng)
+    yield systems.ElsaStyleArchive(make_node_fleet(6), rng)
+
+
+def _node_keys(system):
+    return {(node.node_id, key) for node in system.nodes for key in node.object_ids()}
+
+
+def _audit_records(system):
+    chain = getattr(system, "chain", None)
+    ledger = getattr(system, "ledger", None)
+    return (
+        None if chain is None else len(chain),
+        None if ledger is None else ledger.height,
+    )
 
 
 class TestSegmentNamespaceRegression:

@@ -7,6 +7,7 @@ from repro.crypto.registry import BreakTimeline
 from repro.errors import DecodingError, ObjectNotFoundError, StillSecureError
 from repro.security import SecurityNotion, StorageCostBand
 from repro.storage.node import make_node_fleet
+from repro.storage.placement import share_key
 from repro.systems import AontRsArchive, ArchiveSafeLT, CloudProviderArchive
 
 
@@ -150,6 +151,32 @@ class TestArchiveSafeLT:
             system.store(f"doc-{i}", rng.bytes(100))
         report = system.respond_to_break(timeline, epoch=15)
         assert report.objects_wrapped == 3
+
+    def test_repair_on_read_keeps_the_wrap(self, data, timeline):
+        system = ArchiveSafeLT(
+            make_node_fleet(2, providers=["org"]), DeterministicRandom(1), replication=2
+        )
+        system.store("doc", data)
+        system.respond_to_break(timeline, epoch=15)  # AES broken: wrap in chacha20
+        wrapped = ["chacha20", "aes-256-ctr", "chacha20"]
+        keys = [key for _, key, _ in system._key_history["doc"]]
+        receipt = system.receipt("doc")
+        rotted = min(receipt.placement.node_by_share)
+        system.placement_policy.node(receipt.placement.node_by_share[rotted]).corrupt_object(
+            share_key("doc", rotted), b"rotten"
+        )
+        retrieved, report = system.retrieve_with_report("doc")
+        assert retrieved == data and report.shares_repaired == 1
+        # The repair re-encoded under all three layers, with fresh keys, so
+        # the object still has two unbroken layers and needs no new wrap.
+        assert system.receipt("doc").metadata["layers"] == wrapped
+        assert all(
+            new != old
+            for (_, new, _), old in zip(system._key_history["doc"], keys, strict=True)
+        )
+        assert system.unbroken_layer_count("doc", timeline, 15) == 2
+        assert system.respond_to_break(timeline, epoch=15) is None
+        assert system.retrieve("doc") == data
 
     def test_key_history_grows(self, data, timeline):
         system = self.make()

@@ -297,21 +297,15 @@ def matches_secret_vocabulary(identifier: str, vocabulary: Iterable[str]) -> boo
 
 # -- suppression ---------------------------------------------------------------
 
-#: ``# noqa`` / ``# noqa: ARCH001, ARCH004`` / legacy tag forms.
+#: ``# noqa`` / ``# noqa: ARCH001, ARCH004`` forms.
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Za-z0-9_,\- ]+))?", re.I)
-
-#: Pre-archlint suppression tag kept working from the fold-in of the
-#: retired tools/lint_imports.py shim.
-LEGACY_SUPPRESSIONS = {
-    "ARCH002": frozenset({"unused-import-ok"}),
-}
 
 
 def is_suppressed(finding: Finding, line_text: str) -> bool:
     """True when the finding's source line carries a matching ``# noqa``.
 
     A bare ``# noqa`` suppresses every code on that line; a code list
-    suppresses only the listed codes (plus each code's legacy aliases).
+    suppresses only the listed codes.
     """
     match = _NOQA_RE.search(line_text)
     if match is None:
@@ -320,7 +314,4 @@ def is_suppressed(finding: Finding, line_text: str) -> bool:
     if codes is None:
         return True
     tokens = {token.strip().upper() for token in re.split(r"[,\s]+", codes) if token.strip()}
-    if finding.code.upper() in tokens:
-        return True
-    legacy = LEGACY_SUPPRESSIONS.get(finding.code, frozenset())
-    return any(token.lower() in legacy for token in tokens)
+    return finding.code.upper() in tokens

@@ -13,7 +13,7 @@ gate:
 - ``__init__.py`` files are skipped wholesale (package namespace assembly
   is all re-exports).
 
-Suppress with ``# noqa: ARCH002`` (legacy ``# noqa: unused-import-ok``).
+Suppress with ``# noqa: ARCH002``.
 """
 
 from __future__ import annotations
