@@ -31,7 +31,8 @@ from repro.storage.faults import (
     transient_outage,
 )
 from repro.storage.node import StorageNode, make_node_fleet
-from repro.storage.placement import Placement, PlacementPolicy
+from repro.storage.placement import Placement, PlacementPolicy, share_key
+from repro.systems import ArchiveSafeLT, CloudProviderArchive, ElsaStyleArchive
 from repro.systems.aontrs_system import AontRsArchive
 
 
@@ -467,6 +468,51 @@ class TestRepairOnRead:
         retrieved, report = system.retrieve_with_report("doc")
         assert retrieved == data and report.shares_repaired == 1
         assert registry.snapshot()["counters"]["repairs_on_read_total"] == 1
+        assert system.retrieve("doc") == data
+
+
+class TestFailedRepairKeepsOldKeys:
+    """A repair that cannot place its fresh encoding must leave the object's
+    keys alone: the shares it did not reach were written under them."""
+
+    @pytest.mark.parametrize(
+        "build, offline",
+        [
+            (
+                lambda rng: CloudProviderArchive(
+                    make_node_fleet(3, providers=["aws"]), rng, replication=3
+                ),
+                1,
+            ),
+            (
+                lambda rng: ArchiveSafeLT(
+                    make_node_fleet(3, providers=["aws"]), rng, replication=3
+                ),
+                1,
+            ),
+            (lambda rng: ElsaStyleArchive(make_node_fleet(5), rng, n=5, k=2), 2),
+        ],
+        ids=["cloud", "archivesafelt", "elsa"],
+    )
+    def test_shares_the_repair_missed_still_decode(self, registry, build, offline):
+        system = build(DeterministicRandom(5))
+        data = DeterministicRandom(b"failed-repair").bytes(500)
+        system.store("doc", data)
+        node_by_share = system.receipt("doc").placement.node_by_share
+        indices = sorted(node_by_share)
+        system.placement_policy.node(node_by_share[indices[0]]).corrupt_object(
+            share_key("doc", indices[0]), b"rotted"
+        )
+        down = [system.placement_policy.node(node_by_share[i]) for i in indices[-offline:]]
+        for node in down:
+            node.set_online(False)
+        # The read decodes; its repair then deletes the online shares and
+        # cannot place a full fresh set on the nodes that are left.
+        with pytest.raises(StorageError):
+            system.retrieve("doc")
+        for node in down:
+            node.set_online(True)
+        # The healed nodes hold shares from before the failed repair.
         assert system.retrieve("doc") == data
 
 
