@@ -87,7 +87,7 @@ examples:
 		python $$script || exit 1; \
 	done
 
-all: install lint test racecheck bench-e2e-check bench bench-json bench-ratchet artifacts
+all: install lint test test-chaos examples racecheck bench-e2e-check bench bench-json bench-ratchet artifacts
 
 clean:
 	rm -rf build src/repro.egg-info .pytest_cache

@@ -41,8 +41,9 @@ def metrics_registry():
     """A fresh metrics registry installed for the duration of one test.
 
     Everything the library records during the test -- encode bytes, fetch
-    counts, span timings -- lands here, isolated from other tests; read it
-    back with ``metrics_registry.snapshot()``.
+    counts -- lands here, isolated from other tests; read it back with
+    ``metrics_registry.snapshot()``, and span timings with
+    ``metrics_registry.host_snapshot()``.
     """
     with use_registry() as registry:
         yield registry
@@ -62,7 +63,7 @@ def cold_warm_mbps(metrics_registry):
     - *warm*: one unmeasured warm-up run, then ``rounds`` measured rounds
       with caches hot -- the steady-state archival-ingest experience.
 
-    Wall-clock costs are read back out of the registry snapshot, so the
+    Wall-clock costs are read back out of the registry's host part, so the
     numbers come from the same instrumentation the library itself reports.
     """
 
@@ -76,7 +77,7 @@ def cold_warm_mbps(metrics_registry):
             label = f"bench.{name}.{phase}{index}"
             with span(label):
                 fn()
-            histograms = metrics_registry.snapshot()["histograms"]
+            histograms = metrics_registry.host_snapshot()["histograms"]
             wall = histograms[f"span_wall_seconds{{span={label}}}"]["sum"]
             return n_bytes / wall / 1e6
 

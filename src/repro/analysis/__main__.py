@@ -132,7 +132,8 @@ def main(argv: list[str]) -> int:
         ok = tiers.healthy and ok
     if show_metrics:
         print(f"{'=' * 72}\nmetrics\n{'=' * 72}")
-        print(render_metrics_report(get_registry().snapshot()))
+        registry = get_registry()
+        print(render_metrics_report(registry.snapshot(), registry.host_snapshot()))
     return 0 if ok else 1
 
 

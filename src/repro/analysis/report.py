@@ -47,13 +47,13 @@ def _fmt(cell: object) -> str:
 # -- observability report ------------------------------------------------------
 
 
-def render_metrics_report(snapshot: dict) -> str:
+def render_metrics_report(snapshot: dict, host: dict | None = None) -> str:
     """Render a :meth:`repro.obs.MetricsRegistry.snapshot` as aligned tables.
 
-    Three sections: counters (sorted by name), gauges, and histogram
-    summaries (count / mean / min / max, durations shown in milliseconds).
-    Used by ``python -m repro.analysis --metrics`` and by benchmarks that
-    want their registry-derived numbers in artifact output.
+    Sections: counters (sorted by name), gauges, histogram summaries
+    (count / mean / min / max, durations shown in milliseconds) and, given
+    the registry's *host* part (``host_snapshot()``), its host-time
+    histograms.  Used by ``python -m repro.analysis --metrics``.
     """
     sections = []
     counters = snapshot.get("counters", {})
@@ -74,8 +74,12 @@ def render_metrics_report(snapshot: dict) -> str:
                 title="Gauges",
             )
         )
-    histograms = snapshot.get("histograms", {})
-    if histograms:
+    for title, histograms in (
+        ("Histograms", snapshot.get("histograms", {})),
+        ("Host-time histograms", (host or {}).get("histograms", {})),
+    ):
+        if not histograms:
+            continue
         rows = []
         for name, summary in histograms.items():
             seconds = name.endswith("_seconds") or "_seconds{" in name
@@ -93,7 +97,7 @@ def render_metrics_report(snapshot: dict) -> str:
             render_table(
                 headers=["Histogram", "Count", "Mean", "Min", "Max"],
                 rows=rows,
-                title="Histograms",
+                title=title,
             )
         )
     if not sections:

@@ -114,25 +114,6 @@ class TiersScenarioResult:
         )
 
 
-def _scrub_host_timings(snapshot: dict) -> dict:
-    """Drop the ``span_*`` wall/CPU histograms from a registry snapshot.
-
-    Span timings measure the *host*, not the simulation (the archive
-    facade times its own calls), so they legitimately vary run to run.
-    Everything else in the snapshot -- every counter, gauge, and simulated
-    histogram -- is part of the reproducibility vector and must be
-    byte-identical for a given seed.
-    """
-    return {
-        kind: {
-            name: value
-            for name, value in values.items()
-            if not name.startswith("span_")
-        }
-        for kind, values in snapshot.items()
-    }
-
-
 def _tier_read_counts(snapshot: dict) -> dict[str, int]:
     counts: dict[str, int] = {}
     for name, value in snapshot["counters"].items():
@@ -193,7 +174,7 @@ def run_tiers_scenario(seed: int = DEFAULT_SEED) -> TiersScenarioResult:
             archive.retrieve(object_id) == payload
             for object_id, payload in sorted(payloads.items())
         )
-        snapshot = _scrub_host_timings(registry.snapshot())
+        snapshot = registry.snapshot()
     return TiersScenarioResult(
         seed=seed,
         round_trips_ok=round_trips_ok,

@@ -120,19 +120,20 @@ class SecureArchive(ArchivalSystem):
         tier labels).  The *migrator* (a default-policy
         :class:`repro.storage.tiering.TierMigrator` when omitted) is bound
         to this archive -- migration rides the proactive-renewal pipeline
-        -- and its registry/tracker are installed on the placement policy
-        so stores honor per-share tier layouts, fetches try hot media
-        first, and every user read feeds the access counters.  Returns the
-        bound migrator.
+        -- and becomes the placement policy's ``tiering`` handle, so stores
+        honor per-share tier layouts, fetches try hot media first, and every
+        user read feeds the access counters.  Returns the bound migrator.
         """
         from repro.storage.tiering import TierMigrator
 
         migrator = migrator or TierMigrator()
         migrator.bind(self, data_shares=self.policy.t)
-        self.tiering = migrator
-        self.placement_policy.tiers = migrator.registry
-        self.placement_policy.tracker = migrator.tracker
         return migrator
+
+    @property
+    def tiering(self):
+        """The bound :class:`repro.storage.tiering.TierMigrator`; None untiered."""
+        return self.placement_policy.tiering
 
     # The base class uses a class attribute; the facade's value depends on
     # the instance's policy, so it is a property here.
@@ -315,7 +316,7 @@ class SecureArchive(ArchivalSystem):
                 self._store(object_id, data, encoded=encoded)
                 for (object_id, data), encoded in zip(items, encodings)
             ]
-        _metrics.observe(
+        _metrics.observe_host(
             "archive_batch_seconds", time.perf_counter() - start, op="store"
         )
         return receipts
@@ -350,7 +351,7 @@ class SecureArchive(ArchivalSystem):
                 data = self._finish_read(receipt, data)
                 _metrics.inc("archive_retrieve_bytes_total", len(data))
                 results.append(data)
-        _metrics.observe(
+        _metrics.observe_host(
             "archive_batch_seconds", time.perf_counter() - start, op="retrieve"
         )
         return results

@@ -168,19 +168,6 @@ def _encrypt_words(state: np.ndarray, key_words: np.ndarray) -> np.ndarray:
     return words
 
 
-def _mix_columns(state: np.ndarray) -> np.ndarray:
-    """MixColumns on (n, 16) state; columns are byte groups of 4."""
-    s = state.reshape(-1, 4, 4)  # (n, col, row)
-    a0, a1, a2, a3 = s[:, :, 0], s[:, :, 1], s[:, :, 2], s[:, :, 3]
-    t2, t3 = _XT[2], _XT[3]
-    out = np.empty_like(s)
-    out[:, :, 0] = t2[a0] ^ t3[a1] ^ a2 ^ a3
-    out[:, :, 1] = a0 ^ t2[a1] ^ t3[a2] ^ a3
-    out[:, :, 2] = a0 ^ a1 ^ t2[a2] ^ t3[a3]
-    out[:, :, 3] = t3[a0] ^ a1 ^ a2 ^ t2[a3]
-    return out.reshape(-1, 16)
-
-
 def _inv_mix_columns(state: np.ndarray) -> np.ndarray:
     s = state.reshape(-1, 4, 4)
     a0, a1, a2, a3 = s[:, :, 0], s[:, :, 1], s[:, :, 2], s[:, :, 3]

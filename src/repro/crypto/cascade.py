@@ -72,9 +72,6 @@ class CascadeCipher:
     def depth(self) -> int:
         return len(self.layers)
 
-    def key_sizes(self) -> list[int]:
-        return [l.cipher.key_size for l in self.layers]
-
     def _check_keys(self, keys: Sequence[bytes]) -> None:
         if len(keys) != self.depth:
             raise ParameterError(

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import DecodingError, ParameterError
-from repro.gmath.gf256 import GF256
 from repro.gmath.kernel import (
     gf256_matmul,
     lagrange_matrix_plan,
@@ -208,20 +207,3 @@ class ReedSolomonCode:
         )
         coefficients = gf256_matmul(inverse, payload)
         return [coefficients[i] for i in range(self.k)]
-
-
-def _gf_mat_apply(matrix_rows: list[list[int]], vec_rows: list[np.ndarray]) -> list[np.ndarray]:
-    """Apply a small scalar GF(256) matrix to a vector of byte-rows.
-
-    Retained as the kernel call's list-in/list-out form for protocol code
-    (verifiable redistribution) that works with loose rows.
-    """
-    out = gf256_matmul(
-        np.array(matrix_rows, dtype=np.uint8), rows_as_matrix(vec_rows)
-    )
-    return [out[i] for i in range(out.shape[0])]
-
-
-def _poly_rows_eval(coefficient_rows: list[np.ndarray], x: int) -> np.ndarray:
-    """Evaluate polynomial with byte-row coefficients at scalar x (kernel)."""
-    return GF256.poly_eval_vec(list(coefficient_rows), x)

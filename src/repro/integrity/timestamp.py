@@ -111,10 +111,6 @@ class RsaChainSigner:
     def public_identity(self) -> bytes:
         return self._keys.n.to_bytes((self._keys.n.bit_length() + 7) // 8, "big")
 
-    @property
-    def public_key(self) -> tuple[int, int]:
-        return self._keys.public
-
 
 @dataclass(frozen=True)
 class TimestampLink:

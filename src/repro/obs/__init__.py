@@ -23,6 +23,7 @@ from repro.obs.metrics import (
     get_registry,
     inc,
     observe,
+    observe_host,
     set_gauge,
     set_registry,
     use_registry,
@@ -41,6 +42,7 @@ __all__ = [
     "get_registry",
     "inc",
     "observe",
+    "observe_host",
     "profiled",
     "set_gauge",
     "set_registry",

@@ -20,6 +20,9 @@ Registry discipline: one process-wide registry by default (instrumentation
 deep in the library has no instance to hang state on), swappable for test
 isolation via :func:`use_registry` / :func:`set_registry`.  Snapshots are
 deterministic: plain dicts with sorted keys, no timestamps.
+
+Host time (span and batch timings) goes through :func:`observe_host` into a
+separate part that ``snapshot()`` never returns; ``host_snapshot()`` reads it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "use_registry",
     "inc",
     "observe",
+    "observe_host",
     "set_gauge",
 ]
 
@@ -199,6 +203,8 @@ class MetricsRegistry:
         self._counters: dict[tuple, Counter] = {}
         self._gauges: dict[tuple, Gauge] = {}
         self._histograms: dict[tuple, Histogram] = {}
+        #: Host-time histograms: never part of :meth:`snapshot`.
+        self._host_histograms: dict[tuple, Histogram] = {}
 
     # -- metric accessors (create on first use) --------------------------------
 
@@ -221,24 +227,36 @@ class MetricsRegistry:
     def histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_BUCKETS, **labels
     ) -> Histogram:
+        return self._histogram(self._histograms, name, bounds, labels)
+
+    def host_histogram(
+        self, name: str, bounds: tuple[float, ...] = DEFAULT_BUCKETS, **labels
+    ) -> Histogram:
+        """A histogram of host time, kept out of :meth:`snapshot`."""
+        return self._histogram(self._host_histograms, name, bounds, labels)
+
+    def _histogram(
+        self, table: dict, name: str, bounds: tuple[float, ...], labels: dict
+    ) -> Histogram:
         key = (name, _label_key(labels))
-        metric = self._histograms.get(key)
+        metric = table.get(key)
         if metric is None:
             with self._lock:
-                metric = self._histograms.setdefault(key, Histogram(bounds))
+                metric = table.setdefault(key, Histogram(bounds))
         return metric
 
     # -- bulk operations -------------------------------------------------------
 
     def reset(self) -> None:
-        """Drop every metric (test isolation; benchmarks between runs)."""
+        """Drop every metric, host part too (test isolation; benchmark runs)."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._host_histograms.clear()
 
     def snapshot(self) -> dict:
-        """A deterministic, JSON-able view of every metric.
+        """A deterministic, JSON-able view of every metric but host time.
 
         Counters/gauges map rendered name -> value; histograms map rendered
         name -> ``{count, sum, mean, min, max, buckets}`` where ``buckets``
@@ -263,27 +281,35 @@ class MetricsRegistry:
             _render_name(name, labels): metric.value
             for (name, labels), metric in gauge_items
         }
-        histograms = {}
-        for (name, labels), metric in histogram_items:
-            bounds = list(metric.bounds) + [None]
-            with metric._lock:
-                histograms[_render_name(name, labels)] = {
-                    "count": metric.count,
-                    "sum": metric.sum,
-                    "mean": metric.mean,
-                    "min": metric.min if metric.count else None,
-                    "max": metric.max if metric.count else None,
-                    "buckets": [
-                        [bounds[i], c]
-                        for i, c in enumerate(metric.bucket_counts)
-                        if c
-                    ],
-                }
         return {
             "counters": dict(sorted(counters.items())),
             "gauges": dict(sorted(gauges.items())),
-            "histograms": dict(sorted(histograms.items())),
+            "histograms": _render_histograms(histogram_items),
         }
+
+    def host_snapshot(self) -> dict:
+        """The host-time part, ``{"histograms": ...}``; differs run to run."""
+        with self._lock:
+            histogram_items = list(self._host_histograms.items())
+        return {"histograms": _render_histograms(histogram_items)}
+
+
+def _render_histograms(items: list[tuple[tuple, Histogram]]) -> dict:
+    histograms = {}
+    for (name, labels), metric in items:
+        bounds = list(metric.bounds) + [None]
+        with metric._lock:
+            histograms[_render_name(name, labels)] = {
+                "count": metric.count,
+                "sum": metric.sum,
+                "mean": metric.mean,
+                "min": metric.min if metric.count else None,
+                "max": metric.max if metric.count else None,
+                "buckets": [
+                    [bounds[i], c] for i, c in enumerate(metric.bucket_counts) if c
+                ],
+            }
+    return dict(sorted(histograms.items()))
 
 
 #: The process-wide registry deep instrumentation records into.
@@ -333,6 +359,11 @@ def inc(name: str, amount: int | float = 1, **labels) -> None:
 
 def observe(name: str, value: float, **labels) -> None:
     _REGISTRY.histogram(name, **labels).observe(value)
+
+
+def observe_host(name: str, value: float, **labels) -> None:
+    """Record a host-time measurement (kept out of ``snapshot()``)."""
+    _REGISTRY.host_histogram(name, **labels).observe(value)
 
 
 def set_gauge(name: str, value: float, **labels) -> None:

@@ -11,8 +11,9 @@ parent and depth, so a trace of one maintenance epoch reads as a tree.  On
 exit every span
 
 - feeds ``span_wall_seconds{span=<name>}`` and ``span_cpu_seconds{span=...}``
-  histograms plus a ``spans_total{span=...}`` counter in the active
-  :mod:`repro.obs.metrics` registry, and
+  host-time histograms (the registry's host part, read with
+  ``host_snapshot()``) plus a ``spans_total{span=...}`` counter in the
+  active :mod:`repro.obs.metrics` registry, and
 - emits one structured DEBUG line on the ``repro.obs.trace`` logger
   (``span=<name> depth=<d> wall_ms=<w> cpu_ms=<c> ...labels``), so tracing
   costs nothing unless that logger is enabled.
@@ -101,8 +102,8 @@ def span(name: str, **labels):
         stack.pop()
         s._close()
         metrics.inc("spans_total", span=name)
-        metrics.observe("span_wall_seconds", s.wall_s, span=name)
-        metrics.observe("span_cpu_seconds", s.cpu_s, span=name)
+        metrics.observe_host("span_wall_seconds", s.wall_s, span=name)
+        metrics.observe_host("span_cpu_seconds", s.cpu_s, span=name)
         if logger.isEnabledFor(logging.DEBUG):
             extra = "".join(f" {k}={v}" for k, v in sorted(labels.items()))
             logger.debug(

@@ -1,4 +1,4 @@
-"""Common share containers and the scheme interface.
+"""Common share containers and the instrumentation every scheme shares.
 
 Every splitting scheme in the package produces :class:`Share` objects and a
 :class:`SplitResult` wrapper carrying whatever public metadata the scheme
@@ -11,11 +11,9 @@ sees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
 
-from repro.crypto.drbg import DeterministicRandom
 from repro.obs import metrics as _metrics
-from repro.security import SecurityLevel, redact_secret
+from repro.security import redact_secret
 
 
 @dataclass(frozen=True)
@@ -72,17 +70,6 @@ class SplitResult:
         if self.original_length == 0:
             return float(self.total)
         return self.stored_bytes / self.original_length
-
-
-class SecretSharingScheme(Protocol):
-    """Structural interface implemented by every scheme in this package."""
-
-    name: str
-    security_level: SecurityLevel
-
-    def split(self, data: bytes, rng: DeterministicRandom) -> SplitResult: ...
-
-    def reconstruct(self, result_or_shares: SplitResult | Sequence[Share], **kwargs) -> bytes: ...
 
 
 # -- instrumentation helpers shared by every scheme ----------------------------

@@ -168,12 +168,6 @@ class PackedSecretSharing:
             raise ParameterError(f"x={x} is not a share point")
         return GF256.poly_eval_vec(delta_rows, x)
 
-    @staticmethod
-    def _interpolate_rows(xs: list[int], rows: list[np.ndarray], x: int) -> np.ndarray:
-        """Evaluate at *x* the polynomial through (xs[i], rows[i])."""
-        plan = lagrange_matrix_plan(tuple(xs), (x,))
-        return gf256_matmul(plan, rows_as_matrix(rows))[0]
-
     def _select(self, shares: Sequence[Share]) -> list[Share]:
         seen: dict[int, Share] = {}
         for share in shares:

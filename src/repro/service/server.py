@@ -301,7 +301,7 @@ class ArchiveService:
         """
         if request.op != "retrieve":
             return
-        tiering = getattr(self.archive, "tiering", None)
+        tiering = self.archive.placement_policy.tiering
         if tiering is not None:
             tiering.tracker.record(request.object_id)
 

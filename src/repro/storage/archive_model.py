@@ -197,13 +197,6 @@ class ReencryptionEstimate:
     def total_years(self) -> float:
         return self.total_months / 12.0
 
-    @property
-    def vulnerable_data_fraction_halfway(self) -> float:
-        """At the halfway point of the campaign, half the archive still sits
-        under the broken cipher -- the 'during which time all not-yet-
-        encrypted data remains vulnerable' observation, quantified."""
-        return 0.5
-
 
 def reencryption_estimate(
     archive: ArchiveProfile,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.crypto.drbg import DeterministicRandom
 from repro.errors import (
@@ -40,9 +41,6 @@ class Placement:
     object_id: str
     node_by_share: dict[int, str]
 
-    def nodes(self) -> list[str]:
-        return [self.node_by_share[i] for i in sorted(self.node_by_share)]
-
 
 class PlacementPolicy:
     """Round-robin placement with a provider-independence constraint."""
@@ -65,14 +63,11 @@ class PlacementPolicy:
         # so two identically-seeded runs replay the same delays.
         self._retry_rng = DeterministicRandom(retry_seed)
         self._rotation = 0
-        #: Tier registry (repro.storage.tiering.TierRegistry) when the fleet
-        #: is tiered; installed by SecureArchive.enable_tiering.  None keeps
-        #: every code path byte-identical to the untiered behavior.
-        self.tiers = None
-        #: Access tracker fed one record per object fetch (real demand);
-        #: installed alongside the registry.  Maintenance fetches run under
-        #: tracker.suspended() so background reads don't register.
-        self.tracker = None
+        #: The bound tier migrator (repro.storage.tiering.TierMigrator) on a
+        #: tiered archive, installed by its ``bind``: it gives each share its
+        #: target tier, its registry orders fetches and prices reads, and
+        #: its tracker counts every object fetch.  None: the fleet is untiered.
+        self.tiering = None
 
     def node(self, node_id: str) -> StorageNode:
         try:
@@ -80,101 +75,68 @@ class PlacementPolicy:
         except KeyError:
             raise StorageError(f"unknown node {node_id!r}") from None
 
-    def online_nodes(self) -> list[StorageNode]:
-        return [n for n in self.nodes.values() if n.online]
+    def _tier(self, node: StorageNode) -> str | None:
+        """*node*'s tier in the bound registry; None for an untiered node."""
+        if self.tiering is None or node.tier not in self.tiering.registry:
+            return None
+        return node.tier
 
-    def place(
-        self,
-        object_id: str,
-        share_indices: list[int],
-        tier_layout: dict[int, str] | None = None,
-    ) -> Placement:
-        """Choose a node for every share index, rotating start position so
-        load spreads across the fleet.
+    def place(self, object_id: str, share_indices: list[int]) -> Placement:
+        """Choose a node for every share index in one walk over the fleet.
 
-        *tier_layout* (share index -> tier name) makes placement tier-aware:
-        each share prefers nodes of its target tier, falling back along the
-        registry's nearest-tier order when the target tier cannot supply an
-        independent provider.  Without a layout (or without a registry) the
-        untiered path runs unchanged, byte-identical to pre-tiering runs.
+        Online nodes form one pool per tier plus one of untiered nodes (an
+        untiered fleet is that one pool); when providers must be distinct, a
+        pool keeps only each provider's first node.  Every pool starts at
+        the fleet rotation, which advances once per successful placement, so
+        load spreads deterministically.  Shares are assigned in index order:
+        each walks its target tier's fallback order (nearest tier first,
+        colder before warmer), then the untiered nodes, and takes the first
+        node whose provider (or, when providers may repeat, the node itself)
+        holds none of the object's shares yet.  A share that finds no node
+        raises :class:`StorageError` and changes nothing.
         """
-        if tier_layout is not None and self.tiers is not None:
-            return self._place_tiered(object_id, share_indices, tier_layout)
-        candidates = self.online_nodes()
-        if self.require_distinct_providers:
-            by_provider: dict[str, StorageNode] = {}
-            for node in candidates:
-                by_provider.setdefault(node.provider, node)
-            candidates = list(by_provider.values())
-        if len(candidates) < len(share_indices):
-            kind = "providers" if self.require_distinct_providers else "nodes"
-            raise StorageError(
-                f"need {len(share_indices)} independent {kind}, "
-                f"only {len(candidates)} available"
-            )
-        # Deterministic rotation keeps placement reproducible run to run.
-        start = self._rotation % len(candidates)
-        self._rotation += 1
-        ordered = candidates[start:] + candidates[:start]
-        return Placement(
-            object_id=object_id,
-            node_by_share={
-                index: ordered[i].node_id for i, index in enumerate(share_indices)
-            },
-        )
-
-    def _place_tiered(
-        self, object_id: str, share_indices: list[int], tier_layout: dict[int, str]
-    ) -> Placement:
-        """Tier-preferring placement under the provider-independence rule.
-
-        Shares are assigned in sorted index order; each walks its target
-        tier's fallback order (nearest tier first, colder before warmer)
-        and takes the first node not already used by this object and not
-        sharing a provider with an already-chosen share.  The fleet
-        rotation advances once per placement, exactly like the untiered
-        path, so load still spreads within each tier deterministically.
-        """
-        online = self.online_nodes()
-        start = self._rotation
-        self._rotation += 1
-        pools: dict[str, list[StorageNode]] = {}
-        for node in online:
-            pools.setdefault(getattr(node, "tier", None), []).append(node)
-        used_nodes: set[str] = set()
-        used_providers: set[str] = set()
-        node_by_share: dict[int, str] = {}
+        # Providers must not repeat within an object (nodes, when they may);
+        # a pool keeps the first node of each key.
+        key = attrgetter("provider" if self.require_distinct_providers else "node_id")
+        by_tier: dict[str | None, dict[str, StorageNode]] = {}
+        for node in self.nodes.values():
+            if node.online:
+                by_tier.setdefault(self._tier(node), {}).setdefault(key(node), node)
+        pools: dict[str | None, list[tuple[str, StorageNode]]] = {}
+        for tier, firsts in by_tier.items():
+            pool = list(firsts.items())
+            offset = self._rotation % len(pool)
+            pools[tier] = pool[offset:] + pool[:offset]
+        tiering = self.tiering
+        layout = tiering.layout_for(object_id, share_indices) if tiering else {}
+        searches: dict[str | None, list[tuple[str | None, str, StorageNode]]] = {}
+        taken: set[str] = set()
+        picks: list[tuple[int, str | None, StorageNode]] = []
         for index in sorted(share_indices):
-            want = tier_layout.get(index, self.tiers.hottest.name)
-            chosen: StorageNode | None = None
-            search: list[StorageNode] = []
-            for tier_name in self.tiers.fallback_order(want):
-                pool = pools.get(tier_name, [])
-                if pool:
-                    offset = start % len(pool)
-                    search.extend(pool[offset:] + pool[:offset])
-            # Untiered nodes, if any, are the last resort.
-            search.extend(pools.get(None, []))
-            for node in search:
-                if node.node_id in used_nodes:
-                    continue
-                if self.require_distinct_providers and node.provider in used_providers:
-                    continue
-                chosen = node
-                break
-            if chosen is None:
+            want = layout.get(index)
+            if want not in searches:
+                walk = (*tiering.registry.fallback_order(want), None) if want else (None,)
+                searches[want] = [
+                    (tier, *entry) for tier in walk for entry in pools.get(tier, ())
+                ]
+            for tier, node_key, node in searches[want]:
+                if node_key not in taken:
+                    break
+            else:
                 kind = "providers" if self.require_distinct_providers else "nodes"
                 raise StorageError(
-                    f"no independent {kind} left for share {index} of "
-                    f"{object_id} (want tier {want!r})"
+                    f"need {len(share_indices)} independent {kind}, "
+                    f"only {len(picks)} available"
                 )
-            used_nodes.add(chosen.node_id)
-            used_providers.add(chosen.provider)
-            node_by_share[index] = chosen.node_id
-            tier = getattr(chosen, "tier", None)
+            taken.add(node_key)
+            picks.append((index, tier, node))
+        self._rotation += 1
+        if tiering:
+            tiering.admit(object_id)
+        for _, tier, _ in picks:
             if tier is not None:
                 _metrics.inc("tier_shares_placed_total", tier=tier)
-        return Placement(object_id=object_id, node_by_share=node_by_share)
+        return Placement(object_id, {index: node.node_id for index, _, node in picks})
 
     def store(self, placement: Placement, payload_by_share: dict[int, bytes], epoch: int = 0) -> None:
         for index, node_id in placement.node_by_share.items():
@@ -202,12 +164,6 @@ class PlacementPolicy:
             on_retry=on_retry,
         )
 
-    def fetch_available(self, placement: Placement) -> dict[int, bytes]:
-        """Fetch every share that is currently retrievable; unavailable
-        shares are simply absent.  Thin wrapper over :meth:`fetch_degraded`
-        for callers that only want the bytes."""
-        return self.fetch_degraded(placement)[0]
-
     def fetch_degraded(
         self, placement: Placement, need: int | None = None
     ) -> tuple[dict[int, bytes], DegradedReadReport]:
@@ -228,7 +184,7 @@ class PlacementPolicy:
         and a degraded read that *does* fall back to colder shares pays
         that tier's archive-model read time (recorded in the report's
         simulated wait and the ``tier_read_seconds`` histogram).  Untiered
-        fleets keep the original plain index order.
+        fleets fetch in plain index order.
 
         Returns the fetched payloads plus a :class:`DegradedReadReport` of
         shares tried/failed, retries, and total simulated wait.
@@ -238,10 +194,10 @@ class PlacementPolicy:
             object_id=placement.object_id,
             shares_total=len(placement.node_by_share),
         )
-        if self.tracker is not None:
+        if self.tiering is not None:
             # One record per object fetch: real demand, fed to the tier
             # migrator's decayed access counters.
-            self.tracker.record(placement.object_id)
+            self.tiering.tracker.record(placement.object_id)
 
         def on_retry(attempt: int, delay_s: float, exc: Exception) -> None:
             _metrics.inc("fetch_retries_total")
@@ -299,30 +255,27 @@ class PlacementPolicy:
 
     def _fetch_order(self, placement: Placement) -> list[int]:
         """Share indices in fetch-preference order: plain index order when
-        untiered; (tier rank, index) -- hottest media first -- when the
-        registry is installed, so cold shares are only touched when the
-        warmer quorum falls short."""
+        untiered; (tier rank, index) -- hottest media first, untiered nodes
+        last -- when tiered, so cold shares are only touched when the warmer
+        quorum falls short."""
         indices = sorted(placement.node_by_share)
-        if self.tiers is None:
+        if self.tiering is None:
             return indices
+        registry = self.tiering.registry
 
         def rank(index: int) -> int:
-            tier = getattr(self.node(placement.node_by_share[index]), "tier", None)
-            if tier is None or tier not in self.tiers:
-                return len(self.tiers)  # untiered nodes fetch last
-            return self.tiers.rank(tier)
+            tier = self._tier(self.node(placement.node_by_share[index]))
+            return len(registry) if tier is None else registry.rank(tier)
 
         return sorted(indices, key=lambda index: (rank(index), index))
 
     def _price_tier_read(self, node: StorageNode, payload_bytes: int) -> float:
         """Archive-model read time of one share on *node*'s tier medium
-        (0.0 on untiered fleets/nodes), recorded per tier."""
-        if self.tiers is None:
+        (0.0 for an untiered node), recorded per tier."""
+        tier = self._tier(node)
+        if tier is None:
             return 0.0
-        tier = getattr(node, "tier", None)
-        if tier is None or tier not in self.tiers:
-            return 0.0
-        cost_s = self.tiers.get(tier).read_seconds(payload_bytes)
+        cost_s = self.tiering.registry.get(tier).read_seconds(payload_bytes)
         _metrics.inc("tier_reads_total", tier=tier)
         _metrics.observe("tier_read_seconds", cost_s, tier=tier)
         return cost_s

@@ -326,17 +326,8 @@ class AccessTracker:
 
 @dataclass(frozen=True)
 class MigrationPolicy:
-    """The migration knobs an archive operator turns.
+    """The migration knobs an archive operator turns."""
 
-    ``data_shares`` is how many shares (normally the decode quorum) ride
-    the object's own tier; the remainder -- the parity -- always rides the
-    coldest tier, which is what lets a hot object's reads stop at fast
-    media while its durability margin sits on cheap media.
-    """
-
-    #: Shares kept in the object's own tier (None = the scheme threshold,
-    #: resolved when the migrator is bound to an archive).
-    data_shares: int | None = None
     #: Decayed score at or above which an object moves one tier hotter.
     promote_score: float = 2.0
     #: Epochs without any access after which an object moves one tier colder.
@@ -347,8 +338,6 @@ class MigrationPolicy:
     max_migrations_per_tick: int | None = None
 
     def __post_init__(self) -> None:
-        if self.data_shares is not None and self.data_shares < 1:
-            raise ParameterError("data_shares must be >= 1")
         if self.promote_score <= 0:
             raise ParameterError("promote_score must be > 0")
         if self.demote_idle_epochs < 1:
@@ -388,12 +377,13 @@ class TierMigrator:
 
     Bind to an archive with :meth:`bind` (or, for the facade,
     ``SecureArchive.enable_tiering``); the archive's placement policy then
-    consults :meth:`layout_for` on every store/renewal/repair, and
-    :meth:`run_epoch` -- fired from ``advance_epoch`` or scheduled on an
-    :class:`repro.core.scheduler.EpochScheduler` via :meth:`attach` --
-    walks every object and moves it one tier at a time.  Migration reuses
-    the archive's proactive-renewal pipeline (retrieve, re-split, replace),
-    so every move is also a re-encryption under fresh randomness.
+    reaches tiering through this migrator alone -- :meth:`layout_for` on
+    every store/renewal/repair, the registry for fetch order and read
+    pricing, the tracker for demand -- and :meth:`run_epoch`, fired from
+    ``advance_epoch``, walks every object and moves it one tier at a time.
+    Migration reuses the archive's proactive-renewal pipeline (retrieve,
+    re-split, replace), so every move is also a re-encryption under fresh
+    randomness.
     """
 
     def __init__(
@@ -408,32 +398,29 @@ class TierMigrator:
         #: object id -> tier name (the authoritative assignment map).
         self.assignments: dict[str, str] = {}
         self.archive = None
-        self._data_shares = self.policy.data_shares
-        self._last_run_epoch: int | None = None
+        #: Shares (the decode quorum) riding the object's own tier; set by bind.
+        self._data_shares: int | None = None
         self.log: list[str] = []
 
     # -- wiring ------------------------------------------------------------------
 
-    def bind(self, archive, data_shares: int | None = None) -> None:
-        """Attach to *archive*; migration needs its renewal pipeline."""
+    def bind(self, archive, data_shares: int) -> None:
+        """Attach to *archive*: migration needs its renewal pipeline, and its
+        placement policy reaches tiering through this migrator.  The first
+        *data_shares* share indices (the decode quorum) ride the object's
+        tier; the rest, the parity, ride the coldest, which is what lets a
+        hot object's reads stop at fast media while its durability margin
+        sits on cheap media."""
         if not hasattr(archive, "_renew_object"):
             raise ParameterError(
                 "tier migration rides the proactive-renewal pipeline; "
                 f"{type(archive).__name__} has no _renew_object"
             )
-        self.archive = archive
-        if self._data_shares is None:
-            self._data_shares = data_shares
-        if self._data_shares is None or self._data_shares < 1:
+        if data_shares < 1:
             raise ParameterError("bind needs data_shares >= 1 (the decode quorum)")
-
-    def attach(self, scheduler, every: int = 1, name: str = "tier-migration") -> None:
-        """Schedule :meth:`run_epoch` on the obsolescence/renewal scheduler
-        so migration rides the same background cadence as re-signing and
-        share renewal.  Idempotent per epoch: if the archive's own
-        ``advance_epoch`` already ran this epoch's pass, the scheduled
-        firing is a no-op."""
-        scheduler.every(every, name, self.run_epoch)
+        self.archive = archive
+        self._data_shares = data_shares
+        archive.placement_policy.tiering = self
 
     # -- placement integration ----------------------------------------------------
 
@@ -444,21 +431,24 @@ class TierMigrator:
     def layout_for(self, object_id: str, share_indices: Sequence[int]) -> dict[int, str]:
         """Per-share tier targets: the first ``data_shares`` indices (the
         decode quorum) ride the object's tier, the rest ride the coldest
-        tier.  First sight of an object assigns it the hottest tier and
-        counts the ingest as an access (new data is hot data)."""
+        tier."""
         if self._data_shares is None:
             raise ParameterError("migrator is not bound (call bind/enable_tiering)")
-        tier = self.assignments.get(object_id)
-        if tier is None:
-            tier = self.registry.hottest.name
-            self.assignments[object_id] = tier
-            self.tracker.record(object_id)
+        tier = self.tier_of(object_id)
         ordered = sorted(share_indices)
         quorum = set(ordered[: self._data_shares])
         coldest = self.registry.coldest.name
         return {
             index: (tier if index in quorum else coldest) for index in ordered
         }
+
+    def admit(self, object_id: str) -> None:
+        """Placement succeeded: an object placed for the first time starts on
+        the hottest tier, and its ingest counts as an access (new data is
+        hot data)."""
+        if object_id not in self.assignments:
+            self.assignments[object_id] = self.registry.hottest.name
+            self.tracker.record(object_id)
 
     def forget(self, object_id: str) -> None:
         """Drop all tiering state for a deleted object."""
@@ -471,13 +461,9 @@ class TierMigrator:
         """One background pass: decay scores, then promote/demote.
 
         Objects move at most one tier per tick (a demotion ladder, not a
-        cliff), deterministically in sorted object-id order.  Safe to fire
-        twice in one epoch (scheduler + facade): the second call no-ops.
+        cliff), deterministically in sorted object-id order.
         """
         report = MigrationReport(epoch=epoch)
-        if self._last_run_epoch is not None and epoch <= self._last_run_epoch:
-            return report
-        self._last_run_epoch = epoch
         if self.archive is None:
             raise ParameterError("migrator is not bound (call bind/enable_tiering)")
         self.tracker.advance_to(epoch)

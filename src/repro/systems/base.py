@@ -137,9 +137,6 @@ class ArchivalSystem(abc.ABC):
         self.epoch = 0
         #: Degraded-read report of the most recent fetch (None before any).
         self.last_read_report: DegradedReadReport | None = None
-        #: Tier migrator (repro.storage.tiering.TierMigrator) when tiering
-        #: is enabled; None keeps placement untiered and byte-identical.
-        self.tiering = None
 
     # -- transit -------------------------------------------------------------------
 
@@ -182,20 +179,16 @@ class ArchivalSystem(abc.ABC):
         )
 
     def _store_shares(
-        self, object_id: str, payload_by_index: dict[int, bytes]
-    ) -> Placement:
-        tier_layout = None
-        if self.tiering is not None:
-            tier_layout = self.tiering.layout_for(object_id, sorted(payload_by_index))
-        placement = self.placement_policy.place(
-            object_id, sorted(payload_by_index), tier_layout=tier_layout
-        )
+        self, placement: Placement, payload_by_index: dict[int, bytes]
+    ) -> None:
+        """Write each share where *placement* put it; a failure removes the
+        shares already written, then re-raises."""
         written: dict[int, str] = {}
         try:
             for index, node_id in placement.node_by_share.items():
                 self._send_share(
                     self.placement_policy.node(node_id),
-                    object_id,
+                    placement.object_id,
                     index,
                     payload_by_index[index],
                 )
@@ -203,18 +196,25 @@ class ArchivalSystem(abc.ABC):
         except BaseException:  # noqa: ARCH001 -- undoes the partial store, then re-raises
             # No receipt will point at the shares already written; remove
             # them so a failed store leaves no orphans behind.
-            self.placement_policy.delete(Placement(object_id, written))
+            self.placement_policy.delete(Placement(placement.object_id, written))
             raise
-        return placement
 
     def _replace_shares(
         self, receipt: StoreReceipt, payload_by_index: dict[int, bytes]
     ) -> int:
         """Swap *receipt*'s placed shares for *payload_by_index*; returns the
         bytes written.  Every share replacement -- repair-on-read, renewal,
-        tier migration, redistribution -- runs through here."""
+        tier migration, redistribution -- runs through here.
+
+        The new placement is chosen before any old share is deleted, so a
+        replacement that finds too few nodes raises with the object intact.
+        """
+        placement = self.placement_policy.place(
+            receipt.object_id, sorted(payload_by_index)
+        )
         self.placement_policy.delete(receipt.placement)
-        receipt.placement = self._store_shares(receipt.object_id, payload_by_index)
+        self._store_shares(placement, payload_by_index)
+        receipt.placement = placement
         return sum(len(p) for p in payload_by_index.values())
 
     def _fetch_shares(
@@ -330,7 +330,8 @@ class ArchivalSystem(abc.ABC):
         escrow: dict,
     ) -> StoreReceipt:
         """Place an encoded object, seal it and record its receipt."""
-        placement = self._store_shares(object_id, payloads)
+        placement = self.placement_policy.place(object_id, sorted(payloads))
+        self._store_shares(placement, payloads)
         receipt = StoreReceipt(object_id, len(data), placement, metadata, escrow)
         self._seal(receipt, data)
         self._receipts[object_id] = receipt

@@ -129,6 +129,7 @@ class TestConcurrentIngest:
 
             _run_clients(worker)
             snapshot = registry.snapshot()
+            host = registry.host_snapshot()
 
         counters = snapshot["counters"]
         total_objects = CLIENTS * OBJECTS_PER_CLIENT
@@ -143,7 +144,7 @@ class TestConcurrentIngest:
         assert counters["archive_store_bytes_total"] == total_bytes
         assert counters["archive_retrieve_bytes_total"] == total_bytes
         # Histogram consistency: one batch observation per batch call.
-        hist = snapshot["histograms"]["archive_batch_seconds{op=store}"]
+        hist = host["histograms"]["archive_batch_seconds{op=store}"]
         assert hist["count"] == CLIENTS
         assert sum(count for _, count in hist["buckets"]) == CLIENTS
 

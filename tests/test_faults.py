@@ -32,7 +32,7 @@ from repro.storage.faults import (
 )
 from repro.storage.node import StorageNode, make_node_fleet
 from repro.storage.placement import Placement, PlacementPolicy, share_key
-from repro.systems import ArchiveSafeLT, CloudProviderArchive, ElsaStyleArchive
+from repro.systems import ArchiveSafeLT, CloudProviderArchive, ElsaStyleArchive, VsrArchive
 from repro.systems.aontrs_system import AontRsArchive
 
 
@@ -379,7 +379,7 @@ class TestDegradedFetch:
         policy = PlacementPolicy(fleet)
         placement = policy.place("obj", [1, 2])
         policy.store(placement, {1: b"a", 2: b"b"})  # succeeds despite fault
-        assert policy.fetch_available(placement) == {1: b"a", 2: b"b"}
+        assert policy.fetch_degraded(placement)[0] == {1: b"a", 2: b"b"}
         counters = registry.snapshot()["counters"]
         assert counters["store_retries_total"] >= 1
 
@@ -506,14 +506,70 @@ class TestFailedRepairKeepsOldKeys:
         down = [system.placement_policy.node(node_by_share[i]) for i in indices[-offline:]]
         for node in down:
             node.set_online(False)
-        # The read decodes; its repair then deletes the online shares and
-        # cannot place a full fresh set on the nodes that are left.
+        # The read decodes; its repair then cannot place a full fresh set
+        # on the nodes that are left.
         with pytest.raises(StorageError):
             system.retrieve("doc")
         for node in down:
             node.set_online(True)
         # The healed nodes hold shares from before the failed repair.
         assert system.retrieve("doc") == data
+
+
+class TestFailedPlacementKeepsShares:
+    """Maintenance that cannot place a fresh share set must leave every
+    placed share where it is, so the object reads once the nodes return."""
+
+    class _Archive(SecureArchive):
+        SIGNER_HEIGHT = 4
+
+    @staticmethod
+    def _node_keys(system):
+        return {(node.node_id, key) for node in system.nodes for key in node.object_ids()}
+
+    def _assert_kept(self, system, data, down, maintain):
+        keys = self._node_keys(system)
+        for node in down:
+            node.set_online(False)
+        with pytest.raises(StorageError):
+            maintain()
+        for node in down:
+            node.set_online(True)
+        assert self._node_keys(system) == keys
+        assert system.retrieve("doc") == data
+
+    def test_renewal(self, registry):
+        archive = self._Archive(CENTURY_SAFE, make_node_fleet(6), DeterministicRandom(1))
+        data = DeterministicRandom(b"renewal").bytes(300)
+        archive.store("doc", data)
+        holder = archive.receipt("doc").placement.node_by_share[1]
+        spare = archive.placement_policy.node("node-5")
+        # Four of five shares still read, but five providers are needed.
+        down = [archive.placement_policy.node(holder), spare]
+        self._assert_kept(archive, data, down, archive.advance_epoch)
+
+    def test_repair_on_read(self, registry):
+        system = AontRsArchive(make_node_fleet(7), DeterministicRandom(2), n=6, k=4)
+        data = DeterministicRandom(b"repair").bytes(300)
+        system.store("doc", data)
+        node_by_share = system.receipt("doc").placement.node_by_share
+        system.placement_policy.node(node_by_share[1]).corrupt_object(
+            share_key("doc", 1), b"rotted"
+        )
+        down = [
+            system.placement_policy.node(node_by_share[2]),
+            system.placement_policy.node("node-6"),
+        ]
+        self._assert_kept(system, data, down, lambda: system.retrieve("doc"))
+
+    def test_redistribution(self, registry):
+        system = VsrArchive(make_node_fleet(8), DeterministicRandom(3))
+        data = DeterministicRandom(b"redistribute").bytes(300)
+        system.store("doc", data)
+        spares = [system.placement_policy.node(f"node-{i}") for i in (5, 6, 7)]
+        self._assert_kept(
+            system, data, spares, lambda: system.redistribute_all(6, 4)
+        )
 
 
 class TestFailedStoreLeavesNoOrphans:

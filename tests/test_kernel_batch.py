@@ -304,7 +304,7 @@ class TestBatchIngest:
             archive = self._archive()
             archive.store_batch([("a", b"x" * 100), ("b", b"y" * 100)])
             archive.retrieve_batch(["a", "b"])
-            histograms = registry.snapshot()["histograms"]
+            histograms = registry.host_snapshot()["histograms"]
         assert histograms["archive_batch_seconds{op=store}"]["count"] == 1
         assert histograms["archive_batch_seconds{op=retrieve}"]["count"] == 1
 

@@ -111,8 +111,10 @@ class TestRegistry:
 
     def test_reset_clears_metrics(self, registry):
         registry.counter("test_total").inc()
+        registry.host_histogram("test_seconds").observe(1.0)
         registry.reset()
         assert registry.snapshot()["counters"] == {}
+        assert registry.host_snapshot() == {"histograms": {}}
 
 
 class TestSpans:
@@ -131,7 +133,9 @@ class TestSpans:
             pass
         snap = registry.snapshot()
         assert snap["counters"]["spans_total{span=archive.op}"] == 1
-        wall = snap["histograms"]["span_wall_seconds{span=archive.op}"]
+        # Host time lives in the host part only, never in the snapshot.
+        assert snap["histograms"] == {}
+        wall = registry.host_snapshot()["histograms"]["span_wall_seconds{span=archive.op}"]
         assert wall["count"] == 1 and wall["sum"] >= 0
 
     def test_span_logs_structured_line(self, registry, caplog):
@@ -175,8 +179,8 @@ class TestPipelineInstrumentation:
         assert counters["archive_ops_total{op=advance_epoch}"] == 1
         assert counters["archive_renewed_objects_total"] == 1
         assert counters["archive_renewal_bytes_total"] > 0
-        # Span timings for every facade operation.
-        histograms = snap["histograms"]
+        # Span timings for every facade operation, in the host part.
+        histograms = registry.host_snapshot()["histograms"]
         for op in ("store", "retrieve", "advance_epoch"):
             wall = histograms[f"span_wall_seconds{{span=archive.{op}}}"]
             assert wall["count"] >= 1 and wall["sum"] > 0
@@ -189,7 +193,7 @@ class TestPipelineInstrumentation:
                 archive.store("doc", data)
                 archive.retrieve("doc")
                 archive.advance_epoch()
-                return reg.snapshot()["counters"]
+                return reg.snapshot()
 
         assert run() == run()
 
@@ -235,7 +239,7 @@ class TestPipelineInstrumentation:
         policy = PlacementPolicy(make_node_fleet(3))
         bogus = Placement(object_id="doc", node_by_share={0: "no-such-node"})
         with pytest.raises(StorageError, match="no-such-node"):
-            policy.fetch_available(bogus)
+            policy.fetch_degraded(bogus)
 
     def test_fetch_bytes_accounted(self, registry):
         archive = make_archive()

@@ -23,13 +23,16 @@ from repro.storage.tiering import TIER_COLD, TIER_HOT, TIER_WARM, make_tiered_fl
 from repro.systems.cloud import CloudProviderArchive
 
 #: One sha256 per scenario, recorded while placement kept two algorithms:
-#: the untiered rotation and a separate tiered walk.
+#: the untiered rotation and a separate tiered walk.  "tiered-failing" moved
+#: (from 456d4c53...) when they became one walk, because a failed placement
+#: no longer advances the rotation, assigns the object a tier, records an
+#: access or counts the shares it chose before failing.
 PINNED = {
     "untiered": "feb4e622e70816ef87df56a1fe387ae860bb0b9e3580d0af772ec0980e265e28",
     "repeated-providers": "fb19afa99bea1dbeb59bcda3c96db17b26c3c5cb949fa5bfb2678ce164436acc",
     "cloud": "8f27d87984582db62cedd9f608bb6c8d513c46a6a5bd6043a3d4c86aeb539016",
     "tiered": "73774a22d226152e8c9aa5747aa03bfd55fb9a057995c3b65fcb6c935efaf765",
-    "tiered-failing": "456d4c532217d57e420b69fd1b2fa0b0c7ea762b03f9d2af747188fee190c2f5",
+    "tiered-failing": "f501bade50c2900ed5ddca9d6248afb42668e23ea2dafbd3f8745b9280d9bbf6",
 }
 
 TIERED_COUNTS = {TIER_HOT: 4, TIER_WARM: 4, TIER_COLD: 6}

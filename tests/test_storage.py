@@ -99,7 +99,7 @@ class TestPlacement:
         policy = PlacementPolicy(fleet)
         placement = policy.place("obj", [1, 2, 3])
         policy.store(placement, {1: b"one", 2: b"two", 3: b"three"})
-        assert policy.fetch_available(placement) == {1: b"one", 2: b"two", 3: b"three"}
+        assert policy.fetch_degraded(placement)[0] == {1: b"one", 2: b"two", 3: b"three"}
 
     def test_offline_shares_absent(self):
         fleet = make_node_fleet(3)
@@ -107,7 +107,7 @@ class TestPlacement:
         placement = policy.place("obj", [1, 2])
         policy.store(placement, {1: b"a", 2: b"b"})
         policy.node(placement.node_by_share[1]).set_online(False)
-        assert set(policy.fetch_available(placement)) == {2}
+        assert set(policy.fetch_degraded(placement)[0]) == {2}
 
     def test_corrupted_share_treated_unavailable(self):
         fleet = make_node_fleet(2)
@@ -115,7 +115,7 @@ class TestPlacement:
         placement = policy.place("obj", [1])
         policy.store(placement, {1: b"clean"})
         policy.node(placement.node_by_share[1]).corrupt_object("obj/share-1", b"bad")
-        assert policy.fetch_available(placement) == {}
+        assert policy.fetch_degraded(placement)[0] == {}
 
     def test_delete(self):
         fleet = make_node_fleet(2)
@@ -123,7 +123,7 @@ class TestPlacement:
         placement = policy.place("obj", [1, 2])
         policy.store(placement, {1: b"a", 2: b"b"})
         policy.delete(placement)
-        assert policy.fetch_available(placement) == {}
+        assert policy.fetch_degraded(placement)[0] == {}
         assert policy.total_bytes_stored() == 0
 
     def test_missing_payload_rejected(self):

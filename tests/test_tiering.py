@@ -23,9 +23,7 @@ import pytest
 from repro.analysis.tiers_scenario import run_tiers_scenario
 from repro.core.archive import SecureArchive
 from repro.core.policy import ArchivePolicy, ConfidentialityTarget
-from repro.core.scheduler import EpochScheduler
 from repro.crypto.drbg import DeterministicRandom
-from repro.crypto.registry import BreakTimeline
 from repro.errors import ParameterError, StorageError
 from repro.obs.metrics import use_registry
 from repro.storage.tiering import (
@@ -202,7 +200,6 @@ class TestMigrationPolicy:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"data_shares": 0},
             {"promote_score": 0.0},
             {"demote_idle_epochs": 0},
             {"decay": 0.0},
@@ -254,6 +251,17 @@ class TestTieredPlacement:
         # The degraded read paid the tape tier's archive-model read time.
         cold_spec = archive.tiering.registry.get(TIER_COLD)
         assert report.simulated_wait_s >= cold_spec.read_seconds(1)
+
+    def test_failed_placement_changes_nothing(self, registry):
+        archive, migrator = make_tiered_archive()
+        for node in archive.nodes[: len(archive.nodes) - TIERED_POLICY.n + 1]:
+            node.set_online(False)
+        with pytest.raises(StorageError):
+            archive.store("obj", b"too few nodes online")
+        # No tier assigned, no access recorded, no share counted as placed.
+        assert "obj" not in migrator.assignments
+        counters = registry.snapshot()["counters"]
+        assert not any(name.startswith("tier_") for name in counters)
 
     def test_untiered_fleet_unaffected(self, registry):
         from repro.storage.node import make_node_fleet
@@ -314,30 +322,6 @@ class TestTierMigrator:
         assert migrator.tier_of("obj-a") == TIER_WARM  # sorted id order
         assert migrator.tier_of("obj-b") == TIER_HOT
 
-    def test_run_epoch_idempotent_per_epoch(self, registry):
-        archive, migrator = make_tiered_archive(
-            migration=MigrationPolicy(demote_idle_epochs=1)
-        )
-        archive.store("obj", b"once per epoch")
-        report = archive.advance_epoch()
-        assert report.objects_demoted == 1
-        # A scheduler firing at the same epoch must not double-migrate.
-        again = migrator.run_epoch(archive.epoch)
-        assert again.promoted == [] and again.demoted == []
-        assert migrator.tier_of("obj") == TIER_WARM
-
-    def test_attach_to_epoch_scheduler(self, registry):
-        archive, migrator = make_tiered_archive(
-            migration=MigrationPolicy(demote_idle_epochs=1)
-        )
-        archive.store("obj", b"scheduled migration")
-        scheduler = EpochScheduler(BreakTimeline())
-        migrator.attach(scheduler, every=1)
-        scheduler.advance(2)
-        # Migration rode the scheduler: no archive.advance_epoch calls.
-        assert migrator.tier_of("obj") == TIER_COLD
-        assert archive.retrieve("obj") == b"scheduled migration"
-
     def test_maintenance_reads_do_not_heat(self, registry):
         policy = ArchivePolicy(
             target=ConfidentialityTarget.LONG_TERM, n=5, t=3, renew_every_epochs=1
@@ -370,7 +354,7 @@ class TestTierMigrator:
         with pytest.raises(ParameterError):
             migrator.layout_for("obj", [1, 2, 3])
         with pytest.raises(ParameterError):
-            migrator.bind(object())  # no renewal pipeline
+            migrator.bind(object(), data_shares=3)  # no renewal pipeline
 
     def test_occupancy_gauges(self, registry):
         archive, migrator = make_tiered_archive()
