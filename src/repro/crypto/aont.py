@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.aes import aes_ctr_keystream, aes_ctr_transform
+from repro.crypto.aes import aes_ctr_transform
 from repro.crypto.feistel import LegacyFeistelCipher
 from repro.crypto.registry import PrimitiveKind, register_primitive
 from repro.crypto.sha256 import sha256
@@ -38,11 +38,6 @@ KEY_SIZE = 32
 _ZERO_NONCE = b"\x00" * 12
 #: Mask stream starts at counter 1, matching the paper's Enc_k(i + 1).
 _COUNTER_BASE = 1
-
-
-def _mask(key: bytes, length: int) -> bytes:
-    """Enc_k(1), Enc_k(2), ... concatenated -- the per-block masks."""
-    return aes_ctr_keystream(key, _ZERO_NONCE, length, initial_counter=_COUNTER_BASE)
 
 
 def aont_package_array(data, rng: DeterministicRandom) -> np.ndarray:

@@ -44,6 +44,14 @@ class StorageError(ReproError):
     """A storage node or placement operation failed."""
 
 
+class PlacementShortfallError(StorageError):
+    """Too few online nodes or independent providers to place every share.
+
+    Raised by :meth:`repro.storage.placement.PlacementPolicy.place` before
+    anything is written or deleted, so the caller's object is untouched.
+    """
+
+
 class NodeUnavailableError(StorageError):
     """The targeted storage node is offline or failed."""
 

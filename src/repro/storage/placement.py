@@ -21,6 +21,7 @@ from repro.errors import (
     NodeUnavailableError,
     ObjectNotFoundError,
     ParameterError,
+    PlacementShortfallError,
     StorageError,
 )
 from repro.obs import metrics as _metrics
@@ -93,7 +94,7 @@ class PlacementPolicy:
         colder before warmer), then the untiered nodes, and takes the first
         node whose provider (or, when providers may repeat, the node itself)
         holds none of the object's shares yet.  A share that finds no node
-        raises :class:`StorageError` and changes nothing.
+        raises :class:`PlacementShortfallError` and changes nothing.
         """
         # Providers must not repeat within an object (nodes, when they may);
         # a pool keeps the first node of each key.
@@ -124,7 +125,7 @@ class PlacementPolicy:
                     break
             else:
                 kind = "providers" if self.require_distinct_providers else "nodes"
-                raise StorageError(
+                raise PlacementShortfallError(
                     f"need {len(share_indices)} independent {kind}, "
                     f"only {len(picks)} available"
                 )

@@ -505,9 +505,15 @@ class TierMigrator:
         """Move one object by re-splitting it through the renewal pipeline
         under the new assignment; priced read-at-source, write-at-target."""
         source_spec = self.registry.get(source)
+        # The renewal's placement reads the assignment (layout_for), so it
+        # switches first, and back if the shares did not move.
         self.assignments[object_id] = target.name
-        with self.tracker.suspended():
-            moved_bytes = self.archive._renew_object(object_id)
+        try:
+            with self.tracker.suspended():
+                moved_bytes = self.archive._renew_object(object_id)
+        except BaseException:  # noqa: ARCH001 -- restores the source tier, then re-raises
+            self.assignments[object_id] = source
+            raise
         promoted = self.registry.rank(target.name) < self.registry.rank(source)
         direction = "promote" if promoted else "demote"
         (report.promoted if promoted else report.demoted).append(object_id)

@@ -65,6 +65,7 @@ from repro.errors import (
     DecodingError,
     ObjectNotFoundError,
     ParameterError,
+    PlacementShortfallError,
     StillSecureError,
 )
 from repro.obs import metrics as _metrics
@@ -234,10 +235,18 @@ class ArchivalSystem(abc.ABC):
 
     def _finish_read(self, receipt: StoreReceipt, data: bytes) -> bytes:
         """Post-decode step of every read: repair-on-read re-encodes an
-        object whose fetch hit shares that failed their integrity check."""
+        object whose fetch hit shares that failed their integrity check.
+
+        A repair that cannot place is deferred, not raised: the read has
+        already decoded, the old shares and receipt stay as they were, and
+        the next read of the object tries the repair again."""
         report = self.last_read_report
         if report is not None and report.repair_candidates and not report.shares_repaired:
-            self._reencode(receipt, data)
+            try:
+                self._reencode(receipt, data)
+            except PlacementShortfallError:
+                _metrics.inc("maintenance_deferred_total", op="repair", reason="placement")
+                return data
             report.shares_repaired = len(report.repair_candidates)
             _metrics.inc("repairs_on_read_total", report.shares_repaired)
         return data

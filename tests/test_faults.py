@@ -507,9 +507,10 @@ class TestFailedRepairKeepsOldKeys:
         for node in down:
             node.set_online(False)
         # The read decodes; its repair then cannot place a full fresh set
-        # on the nodes that are left.
-        with pytest.raises(StorageError):
-            system.retrieve("doc")
+        # on the nodes that are left, so it is deferred and the read returns.
+        assert system.retrieve("doc") == data
+        counters = registry.snapshot()["counters"]
+        assert counters["maintenance_deferred_total{op=repair,reason=placement}"] == 1
         for node in down:
             node.set_online(True)
         # The healed nodes hold shares from before the failed repair.
@@ -560,7 +561,21 @@ class TestFailedPlacementKeepsShares:
             system.placement_policy.node(node_by_share[2]),
             system.placement_policy.node("node-6"),
         ]
-        self._assert_kept(system, data, down, lambda: system.retrieve("doc"))
+        keys = self._node_keys(system)
+        for node in down:
+            node.set_online(False)
+        # The read decoded, so a repair that cannot place is deferred and
+        # counted instead of failing the read.
+        assert system.retrieve("doc") == data
+        assert self._node_keys(system) == keys
+        counters = registry.snapshot()["counters"]
+        assert counters["maintenance_deferred_total{op=repair,reason=placement}"] == 1
+        assert "repairs_on_read_total" not in counters
+        for node in down:
+            node.set_online(True)
+        # The next read retries the repair, and now it places.
+        assert system.retrieve("doc") == data
+        assert registry.snapshot()["counters"]["repairs_on_read_total"] == 1
 
     def test_redistribution(self, registry):
         system = VsrArchive(make_node_fleet(8), DeterministicRandom(3))

@@ -22,7 +22,7 @@ import pytest
 
 from repro.analysis.tiers_scenario import run_tiers_scenario
 from repro.core.archive import SecureArchive
-from repro.core.policy import ArchivePolicy, ConfidentialityTarget
+from repro.core.policy import PRACTICAL_COMPUTATIONAL, ArchivePolicy, ConfidentialityTarget
 from repro.crypto.drbg import DeterministicRandom
 from repro.errors import ParameterError, StorageError
 from repro.obs.metrics import use_registry
@@ -338,6 +338,28 @@ class TestTierMigrator:
             assert report.objects_renewed == 1  # renewal does run...
         # ...but its internal reads never registered as demand.
         assert migrator.tier_of("obj") == TIER_COLD
+
+    def test_failed_migration_keeps_source_tier(self, registry):
+        archive = FastSignerArchive(
+            PRACTICAL_COMPUTATIONAL,
+            make_tiered_fleet(dict(FLEET_COUNTS)),
+            DeterministicRandom(b"failed migration"),
+        )
+        migrator = archive.enable_tiering(
+            TierMigrator(policy=MigrationPolicy(demote_idle_epochs=1))
+        )
+        archive.store("doc", b"stays hot")
+        placed = share_tiers(archive, "doc")
+        # Four hot nodes and one warm stay up: the demotion cannot place six shares.
+        for node in archive.nodes[5:]:
+            node.set_online(False)
+        with pytest.raises(StorageError):
+            archive.advance_epoch()
+        for node in archive.nodes[5:]:
+            node.set_online(True)
+        assert migrator.tier_of("doc") == TIER_HOT
+        assert share_tiers(archive, "doc") == placed
+        assert archive.retrieve("doc") == b"stays hot"
 
     def test_deleted_objects_are_forgotten(self, registry):
         archive, migrator = make_tiered_archive()

@@ -249,11 +249,14 @@ def check_kernel(phase: Phase, seed: int, iterations: int) -> None:
 def check_aes(phase: Phase, seed: int, iterations: int) -> None:
     """Concurrent CTR transforms race ``clear_key_caches``; every ciphertext
     must equal the sequential reference (schedules are pure functions of the
-    key, so a mid-flight clear may only cost a rebuild, never a byte)."""
+    key, so a mid-flight clear may only cost a rebuild, never a byte).  The
+    message spans two full round chunks and a partial one, so threads
+    interleave inside the chunk loop."""
     rng = np.random.default_rng(seed + 1)
     key = bytes(rng.integers(0, 256, size=32, dtype=np.uint8))
     nonce = bytes(rng.integers(0, 256, size=12, dtype=np.uint8))
-    data = bytes(rng.integers(0, 256, size=65536, dtype=np.uint8))
+    length = (2 * aes._CHUNK_BLOCKS + 3) * aes.BLOCK_SIZE + 5
+    data = bytes(rng.integers(0, 256, size=length, dtype=np.uint8))
 
     aes.clear_key_caches()
     reference = aes.aes_ctr_transform(key, nonce, data).tobytes()
