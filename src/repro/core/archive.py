@@ -29,6 +29,7 @@ from repro.errors import (
     DecodingError,
     ObjectNotFoundError,
     ParameterError,
+    PlacementShortfallError,
     RetentionLockedError,
 )
 from repro.integrity.timestamp import (
@@ -60,6 +61,10 @@ class MaintenanceReport:
     objects_promoted: int = 0
     objects_demoted: int = 0
     migration_bytes: int = 0
+    #: Objects whose renewal or migration found too few nodes to place on;
+    #: their shares stay where they were until a later epoch moves them.
+    renewals_deferred: list[str] = field(default_factory=list)
+    migrations_deferred: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
 
@@ -244,6 +249,15 @@ class SecureArchive(ArchivalSystem):
     def _quorum(self, receipt: StoreReceipt) -> int:
         return receipt.metadata["threshold"]
 
+    def _repair(self, receipt, data, shares, indices):
+        # Every policy's shares are values of one GF(256) polynomial, so the
+        # quorum just decoded rebuilds the rotted ones in place; the
+        # receipt, its timestamp and the placement stay as they are.
+        scheme = receipt.metadata["scheme"]
+        return self._rewrite_shares(
+            receipt, self._scheme.regenerate(as_shares(scheme, shares), indices)
+        )
+
     def _decode(self, receipt: StoreReceipt, fetched: dict[int, bytes]) -> bytes:
         meta = receipt.metadata
         return self._scheme.reconstruct(
@@ -346,9 +360,9 @@ class SecureArchive(ArchivalSystem):
                     )
                 )
             results = []
-            for (receipt, _, report), data in zip(fetched_by_id, decoded):
+            for (receipt, fetched, report), data in zip(fetched_by_id, decoded):
                 self.last_read_report = report
-                data = self._finish_read(receipt, data)
+                data = self._finish_read(receipt, data, fetched)
                 _metrics.inc("archive_retrieve_bytes_total", len(data))
                 results.append(data)
         _metrics.observe_host(
@@ -502,7 +516,16 @@ class SecureArchive(ArchivalSystem):
             ):
                 with self._maintenance_reads():
                     for object_id in list(self._receipts):
-                        report.renewal_bytes += self._renew_object(object_id)
+                        try:
+                            report.renewal_bytes += self._renew_object(object_id)
+                        except PlacementShortfallError:
+                            # Nothing was deleted: the old shares still
+                            # read, and the next renewal epoch retries.
+                            _metrics.inc(
+                                "maintenance_deferred_total", op="renew", reason="placement"
+                            )
+                            report.renewals_deferred.append(object_id)
+                            continue
                         report.objects_renewed += 1
             _metrics.inc("archive_renewed_objects_total", report.objects_renewed)
             _metrics.inc("archive_renewal_bytes_total", report.renewal_bytes)
@@ -511,6 +534,7 @@ class SecureArchive(ArchivalSystem):
                 report.objects_promoted = len(migration.promoted)
                 report.objects_demoted = len(migration.demoted)
                 report.migration_bytes = migration.bytes_moved
+                report.migrations_deferred = migration.deferred
             # Chain renewal every epoch keeps the head signature fresh.
             self.authority.renew_chain(self.chain, self.epoch)
             report.chain_renewed = True

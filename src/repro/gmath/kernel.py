@@ -354,6 +354,21 @@ def lagrange_matrix_plan(
     return _lagrange_matrix_cached(xs, targets)
 
 
+def interpolate_rows(
+    xs: tuple[int, ...],
+    rows: list[np.ndarray] | np.ndarray,
+    targets: tuple[int, ...],
+) -> np.ndarray:
+    """Values at *targets* of the polynomials whose values at *xs* are *rows*.
+
+    Column c of *rows* holds one polynomial's values at the points *xs*;
+    row r of the result holds its value at ``targets[r]``.  One cached
+    Lagrange plan, one matmul: Shamir and packed reconstruction, packed
+    splitting and every scheme's share regeneration are this call.
+    """
+    return gf256_matmul(lagrange_matrix_plan(xs, targets), rows_as_matrix(rows))
+
+
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _lagrange_zero_cached(xs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(int(v) for v in _lagrange_matrix_cached(xs, (0,))[0])

@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import DecodingError, ParameterError
 from repro.gmath.kernel import (
     gf256_matmul,
+    interpolate_rows,
     lagrange_matrix_plan,
     rows_as_matrix,
     rs_decode_plan,
@@ -168,6 +169,25 @@ class ReedSolomonCode:
             [np.frombuffer(s.data, dtype=np.uint8) for s in chosen]
         )
         return gf256_matmul(plan, payload)
+
+    def regenerate(self, shards: list[Shard], indices: list[int]) -> list[Shard]:
+        """The shards at *indices*, rebuilt byte for byte from any k of
+        *shards*.
+
+        Data and parity shards alike are values of the one degree-(k-1)
+        polynomial at x = index + 1, so k of them fix the rest: one
+        (len(indices), k) matmul, with no decode and no re-encode.
+        """
+        unknown = [index for index in indices if not 0 <= index < self.n]
+        if unknown:
+            raise ParameterError(f"shard indices {unknown} out of range for n={self.n}")
+        chosen = self._select_shards(shards)
+        values = interpolate_rows(
+            tuple(self.points[s.index] for s in chosen),
+            [np.frombuffer(s.data, dtype=np.uint8) for s in chosen],
+            tuple(self.points[index] for index in indices),
+        )
+        return [Shard(index, row.tobytes()) for index, row in zip(indices, values)]
 
     def _select_shards(self, shards: list[Shard]) -> list[Shard]:
         seen: dict[int, Shard] = {}

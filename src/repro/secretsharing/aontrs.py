@@ -86,6 +86,15 @@ class AontRsDispersal:
         record_reconstruct(self.name, len(plain))
         return plain.tobytes()
 
+    def regenerate(self, shares: Sequence[Share], indices: Sequence[int]) -> list[Share]:
+        """The shares at *indices*, rebuilt byte for byte from any k of
+        *shares* by the Reed-Solomon code alone: the AONT package is neither
+        decoded nor re-made."""
+        shards = self.code.regenerate(
+            [Shard(index=s.index, data=s.payload) for s in shares], list(indices)
+        )
+        return [Share(scheme=self.name, index=s.index, payload=s.data) for s in shards]
+
 
 def package_length_bytes(length: int) -> bytes:
     """Fixed-width encoding of the package length for public metadata."""

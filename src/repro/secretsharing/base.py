@@ -11,7 +11,12 @@ sees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
+import numpy as np
+
+from repro.errors import ParameterError
+from repro.gmath.kernel import interpolate_rows
 from repro.obs import metrics as _metrics
 from repro.security import redact_secret
 
@@ -86,3 +91,32 @@ def record_reconstruct(scheme: str, plaintext_bytes: int) -> None:
     """Account one reconstruction: plaintext recovered."""
     _metrics.inc("secretsharing_reconstructs_total", scheme=scheme)
     _metrics.inc("secretsharing_decode_bytes_total", plaintext_bytes, scheme=scheme)
+
+
+def regenerated_shares(
+    scheme: str,
+    quorum: Sequence[Share],
+    indices: Sequence[int],
+    points: Sequence[int],
+) -> list[Share]:
+    """The shares at *indices* of the polynomial a decode *quorum* fixes.
+
+    For schemes whose share i is one polynomial's value at x = i (Shamir,
+    packed; *points* are the scheme's share points), a decode quorum
+    determines every other share byte for byte.  Repair can rebuild a lost
+    share from the quorum a read just fetched, without drawing randomness
+    or touching a healthy share.
+    """
+    wanted = tuple(indices)
+    unknown = [index for index in wanted if index not in points]
+    if unknown:
+        raise ParameterError(f"share indices {unknown} are not share points of {scheme}")
+    values = interpolate_rows(
+        tuple(share.index for share in quorum),
+        [np.frombuffer(share.payload, dtype=np.uint8) for share in quorum],
+        wanted,
+    )
+    return [
+        Share(scheme=scheme, index=index, payload=row.tobytes())
+        for index, row in zip(wanted, values)
+    ]

@@ -188,6 +188,16 @@ class LeakageResilientSharing:
             ^ np.frombuffer(mask[: len(masked_message)], dtype=np.uint8)
         ).tobytes()
 
+    def regenerate(self, shares: Sequence[Share], indices: Sequence[int]) -> list[Share]:
+        """The shares at *indices*, rebuilt byte for byte from any t of
+        *shares*: they are Shamir shares of the source, so the inner
+        scheme regenerates them and the masked message stays as it is."""
+        inner = self._inner.regenerate(
+            [Share(scheme=self._inner.name, index=s.index, payload=s.payload) for s in shares],
+            indices,
+        )
+        return [Share(scheme=self.name, index=s.index, payload=s.payload) for s in inner]
+
 
 def linear_attack_against_lrss(
     lrss: LeakageResilientSharing,

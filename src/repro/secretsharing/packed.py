@@ -27,8 +27,14 @@ from repro.crypto.drbg import DeterministicRandom
 from repro.crypto.registry import PrimitiveKind, register_primitive
 from repro.errors import DecodingError, ParameterError
 from repro.gmath.gf256 import GF256
-from repro.gmath.kernel import gf256_matmul, lagrange_matrix_plan, rows_as_matrix
-from repro.secretsharing.base import Share, SplitResult, record_reconstruct, record_split
+from repro.gmath.kernel import interpolate_rows
+from repro.secretsharing.base import (
+    Share,
+    SplitResult,
+    record_reconstruct,
+    record_split,
+    regenerated_shares,
+)
 from repro.security import SecurityLevel
 
 
@@ -68,15 +74,13 @@ class PackedSecretSharing:
     def split(self, data: bytes, rng: DeterministicRandom) -> SplitResult:
         chunk_rows, original = self._chunk(data)
         random_rows = [rng.uint8_array(chunk_rows[0].size) for _ in range(self.t)]
-        anchor_rows = rows_as_matrix(chunk_rows + random_rows)
 
         # P(x) for the first t share points *is* the random value; the
         # remaining n - t shares are one cached-plan kernel call.
         tail_points = tuple(self.share_points[self.t :])
         tail = (
-            gf256_matmul(
-                lagrange_matrix_plan(tuple(self.anchor_points), tail_points),
-                anchor_rows,
+            interpolate_rows(
+                tuple(self.anchor_points), chunk_rows + random_rows, tail_points
             )
             if tail_points
             else None
@@ -104,18 +108,23 @@ class PackedSecretSharing:
             if original_length is None:
                 raise ParameterError("original_length required when passing raw shares")
         chosen = self._select(share_list)
-        xs = tuple(s.index for s in chosen)
-        rows = rows_as_matrix(
-            [np.frombuffer(s.payload, dtype=np.uint8) for s in chosen]
-        )
-        chunk_rows = gf256_matmul(
-            lagrange_matrix_plan(xs, tuple(self.secret_points)), rows
+        chunk_rows = interpolate_rows(
+            tuple(s.index for s in chosen),
+            [np.frombuffer(s.payload, dtype=np.uint8) for s in chosen],
+            tuple(self.secret_points),
         )
         flat = chunk_rows.reshape(-1)
         if original_length > flat.size:
             raise DecodingError("original_length exceeds reconstructed size")
         record_reconstruct(self.name, original_length)
         return flat[:original_length].tobytes()
+
+    def regenerate(self, shares: Sequence[Share], indices: Sequence[int]) -> list[Share]:
+        """The shares at *indices*, rebuilt byte for byte from any t + k of
+        *shares*: one (len(indices), t + k) matmul, no fresh split."""
+        return regenerated_shares(
+            self.name, self._select(list(shares)), indices, self.share_points
+        )
 
     # -- helpers ---------------------------------------------------------------------
 

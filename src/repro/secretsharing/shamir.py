@@ -29,11 +29,17 @@ from repro.crypto.registry import PrimitiveKind, register_primitive
 from repro.errors import DecodingError, ParameterError
 from repro.gmath.kernel import (
     gf256_matmul,
-    lagrange_matrix_plan,
+    interpolate_rows,
     rows_as_matrix,
     vandermonde_plan,
 )
-from repro.secretsharing.base import Share, SplitResult, record_reconstruct, record_split
+from repro.secretsharing.base import (
+    Share,
+    SplitResult,
+    record_reconstruct,
+    record_split,
+    regenerated_shares,
+)
 from repro.security import SecurityLevel
 
 _MAX_SHARES = 255
@@ -97,14 +103,19 @@ class ShamirSecretSharing:
         """Recover the secret from any t distinct shares."""
         share_list = list(shares.shares) if isinstance(shares, SplitResult) else list(shares)
         chosen = self._select(share_list)
-        xs = tuple(s.index for s in chosen)
-        payload = rows_as_matrix(
-            [np.frombuffer(s.payload, dtype=np.uint8) for s in chosen]
-        )
         # Cached Lagrange-at-zero plan: reconstruction is one (1, t) matmul.
-        acc = gf256_matmul(lagrange_matrix_plan(xs, (0,)), payload)[0]
+        acc = interpolate_rows(
+            tuple(s.index for s in chosen),
+            [np.frombuffer(s.payload, dtype=np.uint8) for s in chosen],
+            (0,),
+        )[0]
         record_reconstruct(self.name, acc.size)
         return acc.tobytes()
+
+    def regenerate(self, shares: Sequence[Share], indices: Sequence[int]) -> list[Share]:
+        """The shares at *indices*, rebuilt byte for byte from any t of
+        *shares*: one (len(indices), t) matmul, no fresh split."""
+        return regenerated_shares(self.name, self._select(list(shares)), indices, self.points)
 
     def _select(self, shares: Sequence[Share]) -> list[Share]:
         seen: dict[int, Share] = {}

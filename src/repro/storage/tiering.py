@@ -45,7 +45,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.errors import ObjectNotFoundError, ParameterError, StorageError
+from repro.errors import (
+    ObjectNotFoundError,
+    ParameterError,
+    PlacementShortfallError,
+    StorageError,
+)
 from repro.obs import metrics as _metrics
 from repro.storage.archive_model import ArchiveProfile, op_service_time_s
 from repro.storage.media import MEDIA_CATALOG, MediaSpec
@@ -360,6 +365,9 @@ class MigrationReport:
     #: write at the target tier's (the Section 3.2 arithmetic per object).
     priced_seconds: float = 0.0
     skipped: int = 0
+    #: Due migrations that found too few nodes to place on; the object
+    #: stays on its source tier and a later tick tries again.
+    deferred: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -369,6 +377,7 @@ class MigrationReport:
             "bytes_moved": self.bytes_moved,
             "priced_seconds": self.priced_seconds,
             "skipped": self.skipped,
+            "deferred": sorted(self.deferred),
         }
 
 
@@ -490,7 +499,13 @@ class TierMigrator:
             if cap is not None and moved >= cap:
                 report.skipped += 1
                 continue
-            self._migrate(object_id, current, target, report)
+            try:
+                self._migrate(object_id, current, target, report)
+            except PlacementShortfallError:
+                # _migrate restored the source tier; nothing was deleted.
+                _metrics.inc("maintenance_deferred_total", op="migrate", reason="placement")
+                report.deferred.append(object_id)
+                continue
             moved += 1
         self.record_occupancy()
         self.log.append(

@@ -49,3 +49,10 @@ class AontRsArchive(ArchivalSystem):
         return self.dispersal.reconstruct(
             as_shares("aont-rs", shards), original_length=receipt.original_length
         )
+
+    def _repair(self, receipt, data, shards, indices):
+        # Shards are values of one polynomial: the k just fetched rebuild
+        # the rotted ones in place, with no new AONT package.
+        return self._rewrite_shares(
+            receipt, self.dispersal.regenerate(as_shares("aont-rs", shards), indices)
+        )

@@ -25,12 +25,24 @@ it encodes an object, so a subclass supplies these hooks:
     Optional step after a fresh encoding is placed, by a store or a
     re-encode (a timestamp, a ledger record, the object's new keys).
 
+``_repair(receipt, data, shares, indices) -> int``
+    Optional: rewrite the rotted shares a read found, given the quorum it
+    decoded from.  The default re-encodes the whole object, which every
+    system can do.  Systems whose shares are evaluations of one GF(256)
+    polynomial (``SecureArchive``, ``AontRsArchive``) regenerate just the
+    rotted shares from that quorum and rewrite them in place
+    (:meth:`ArchivalSystem._rewrite_shares`): nothing is drawn, placed,
+    deleted or sealed again.
+
 ``_encode`` changes no system state.  Client-held keys a new encoding
 needs ride in its escrow until ``_seal`` installs them, so a re-encode
 whose placement fails leaves the object's old keys in force.
 
-Every share replacement -- repair-on-read, renewal, tier migration,
-redistribution -- goes through :meth:`ArchivalSystem._replace_shares`.
+Every share replacement -- a re-encoding repair-on-read, renewal, tier
+migration, redistribution -- goes through
+:meth:`ArchivalSystem._replace_shares`, which takes a placement its caller
+chose before encoding.  A regenerating repair replaces no share set: it
+rewrites single shares where they already are.
 
 Adversary hooks
 ---------------
@@ -71,7 +83,7 @@ from repro.errors import (
 from repro.obs import metrics as _metrics
 from repro.secretsharing.base import Share, SplitResult
 from repro.security import SecurityNotion, StorageCostBand
-from repro.storage.faults import DegradedReadReport
+from repro.storage.faults import RETRYABLE_ERRORS, DegradedReadReport
 from repro.storage.node import StorageNode
 from repro.storage.placement import Placement, PlacementPolicy, share_key
 
@@ -201,22 +213,46 @@ class ArchivalSystem(abc.ABC):
             raise
 
     def _replace_shares(
-        self, receipt: StoreReceipt, payload_by_index: dict[int, bytes]
+        self,
+        receipt: StoreReceipt,
+        placement: Placement,
+        payload_by_index: dict[int, bytes],
     ) -> int:
-        """Swap *receipt*'s placed shares for *payload_by_index*; returns the
-        bytes written.  Every share replacement -- repair-on-read, renewal,
-        tier migration, redistribution -- runs through here.
+        """Swap *receipt*'s placed shares for *payload_by_index* at
+        *placement*; returns the bytes written.  Every share replacement --
+        a re-encoding repair, renewal, tier migration, redistribution --
+        runs through here.
 
-        The new placement is chosen before any old share is deleted, so a
-        replacement that finds too few nodes raises with the object intact.
+        The caller places before it encodes, so a replacement that finds
+        too few nodes raises with the object intact and no encoding spent.
         """
-        placement = self.placement_policy.place(
-            receipt.object_id, sorted(payload_by_index)
-        )
+        if sorted(payload_by_index) != sorted(placement.node_by_share):
+            raise ParameterError(
+                f"{receipt.object_id}: the encoding's share indices differ "
+                "from its placement's"
+            )
         self.placement_policy.delete(receipt.placement)
         self._store_shares(placement, payload_by_index)
         receipt.placement = placement
         return sum(len(p) for p in payload_by_index.values())
+
+    def _rewrite_shares(self, receipt: StoreReceipt, shares: list[Share]) -> int:
+        """Send each of *shares* to the node and key that already hold that
+        share index; returns how many were written.
+
+        Placement, receipt and every other share stay as they are.  A put
+        that still fails after its retries leaves that node's copy alone
+        and is skipped, so the caller can defer the rest of the repair.
+        """
+        written = 0
+        for share in shares:
+            node = self.placement_policy.node(receipt.placement.node_by_share[share.index])
+            try:
+                self._send_share(node, receipt.object_id, share.index, share.payload)
+            except RETRYABLE_ERRORS:
+                continue
+            written += 1
+        return written
 
     def _fetch_shares(
         self, receipt: StoreReceipt, need: int | None = None
@@ -233,30 +269,56 @@ class ArchivalSystem(abc.ABC):
         self.last_read_report = report
         return shares
 
-    def _finish_read(self, receipt: StoreReceipt, data: bytes) -> bytes:
-        """Post-decode step of every read: repair-on-read re-encodes an
-        object whose fetch hit shares that failed their integrity check.
+    def _finish_read(
+        self, receipt: StoreReceipt, data: bytes, shares: dict[int, bytes]
+    ) -> bytes:
+        """Post-decode step of every read: repair-on-read rewrites the
+        shares that failed their integrity check, given the *shares* the
+        object decoded from.
 
-        A repair that cannot place is deferred, not raised: the read has
-        already decoded, the old shares and receipt stay as they were, and
+        A repair that cannot place, or whose put still fails after its
+        retries, is deferred, not raised: the read has already decoded, the
+        shares it did not rewrite and the receipt stay as they were, and
         the next read of the object tries the repair again."""
         report = self.last_read_report
         if report is not None and report.repair_candidates and not report.shares_repaired:
+            rotted = report.repair_candidates
             try:
-                self._reencode(receipt, data)
+                rewritten = self._repair(receipt, data, shares, rotted)
             except PlacementShortfallError:
                 _metrics.inc("maintenance_deferred_total", op="repair", reason="placement")
                 return data
-            report.shares_repaired = len(report.repair_candidates)
-            _metrics.inc("repairs_on_read_total", report.shares_repaired)
+            if rewritten:
+                _metrics.inc("repairs_on_read_total", rewritten)
+            if rewritten < len(rotted):
+                _metrics.inc("maintenance_deferred_total", op="repair", reason="put")
+            else:
+                report.shares_repaired = rewritten
         return data
+
+    def _repair(
+        self,
+        receipt: StoreReceipt,
+        data: bytes,
+        shares: dict[int, bytes],
+        indices: list[int],
+    ) -> int:
+        """Rewrite the rotted shares at *indices* of an object a read just
+        decoded from *shares*; returns how many were rewritten.  The default
+        re-encodes the whole object."""
+        self._reencode(receipt, data)
+        return len(indices)
 
     def _reencode(self, receipt: StoreReceipt, data: bytes) -> int:
         """Replace *receipt*'s shares with a fresh encoding of *data* under
         the receipt's own parameters, then seal it again; returns the bytes
-        written."""
+        written.  The receipt's share indices are placed first, so a
+        shortfall raises before anything is drawn or encoded."""
+        placement = self.placement_policy.place(
+            receipt.object_id, sorted(receipt.placement.node_by_share)
+        )
         payloads, metadata, escrow = self._encode(receipt.object_id, data, receipt.metadata)
-        written = self._replace_shares(receipt, payloads)
+        written = self._replace_shares(receipt, placement, payloads)
         receipt.metadata.update(metadata)
         receipt.escrow.update(escrow)
         self._seal(receipt, data)
@@ -308,7 +370,7 @@ class ArchivalSystem(abc.ABC):
         """Fetch shares up to the quorum and decode the object."""
         receipt = self.receipt(object_id)
         shares = self._fetch_shares(receipt, need=self._quorum(receipt))
-        return self._finish_read(receipt, self._checked_decode(receipt, shares))
+        return self._finish_read(receipt, self._checked_decode(receipt, shares), shares)
 
     def receipt(self, object_id: str) -> StoreReceipt:
         try:

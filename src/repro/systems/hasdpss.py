@@ -127,14 +127,16 @@ class HasDpss(ArchivalSystem):
             old_scheme = ShamirSecretSharing(
                 receipt.metadata["n"], receipt.metadata["t"]
             )
+            fetched = self._fetch_shares(receipt)
+            placement = self.placement_policy.place(receipt.object_id, new_scheme.points)
             new_split, _ = redistribute(
                 old_scheme,
-                as_shares("shamir", self._fetch_shares(receipt)),
+                as_shares("shamir", fetched),
                 new_scheme,
                 receipt.original_length,
                 self.rng,
             )
-            self._replace_shares(receipt, split_payloads(new_split))
+            self._replace_shares(receipt, placement, split_payloads(new_split))
             receipt.metadata.update({"n": new_n, "t": new_t})
         # Key plane: fresh proactive round plus a new deal record.
         self.key_plane.renew(self.rng)

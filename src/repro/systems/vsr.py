@@ -74,15 +74,17 @@ class VsrArchive(ArchivalSystem):
         new_scheme = ShamirSecretSharing(new_n, new_t)
         reports = []
         for receipt in list(self._receipts.values()):
+            fetched = self._fetch_shares(receipt)
+            placement = self.placement_policy.place(receipt.object_id, new_scheme.points)
             new_split, report = redistribute(
                 self._scheme_for(receipt),
-                as_shares("shamir", self._fetch_shares(receipt)),
+                as_shares("shamir", fetched),
                 new_scheme,
                 receipt.original_length,
                 self.rng,
             )
             reports.append(report)
-            self._replace_shares(receipt, split_payloads(new_split))
+            self._replace_shares(receipt, placement, split_payloads(new_split))
             receipt.metadata.update(
                 {"n": new_n, "t": new_t, "generation": self.share_generation + 1}
             )

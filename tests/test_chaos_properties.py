@@ -184,9 +184,10 @@ def test_cold_tier_faults_never_lose_data(seed):
 
 @pytest.mark.parametrize("seed", [0, 3, 11, 29, 77])
 def test_repair_on_read_replaces_shares_in_correct_tier(seed):
-    """A degraded read that trips repair-on-read must re-place the repaired
-    shares tier-correctly: quorum back on the object's tier, parity back on
-    cold -- even while a hot node is down and the fetch leaned on cold."""
+    """A degraded read that trips repair-on-read must leave the object's
+    shares tier-correct: the rotted share is regenerated in place, so the
+    quorum stays on the object's tier and parity on cold -- even while a
+    hot node is down and the fetch leaned on cold."""
     archive = _make_tiered_archive(seed)
     payload = DeterministicRandom(("repair", seed).__repr__()).bytes(120)
     archive.store("doc", payload)
@@ -207,8 +208,8 @@ def test_repair_on_read_replaces_shares_in_correct_tier(seed):
     assert data == payload
     assert report.shares_repaired > 0, f"repair did not fire; seed={seed}"
 
-    # The repaired placement is tier-correct: quorum on the object's tier
-    # (still hot -- the read itself is demand), parity on cold.
+    # The placement after the repair is tier-correct: quorum on the
+    # object's tier (still hot -- the read itself is demand), parity on cold.
     repaired = archive.receipt("doc").placement
     tiers = [
         archive.placement_policy.node(repaired.node_by_share[index]).tier

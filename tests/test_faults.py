@@ -516,6 +516,28 @@ class TestFailedRepairKeepsOldKeys:
         # The healed nodes hold shares from before the failed repair.
         assert system.retrieve("doc") == data
 
+    def test_deferred_repair_encodes_nothing(self, registry):
+        system = CloudProviderArchive(
+            make_node_fleet(3, providers=["aws"]), DeterministicRandom(6), replication=3
+        )
+        data = DeterministicRandom(b"deferred-repair").bytes(500)
+        system.store("doc", data)
+        node_by_share = system.receipt("doc").placement.node_by_share
+        system.placement_policy.node(node_by_share[0]).corrupt_object(
+            share_key("doc", 0), b"rotted"
+        )
+        system.placement_policy.node(node_by_share[2]).set_online(False)
+        cipher_bytes = "crypto_cipher_bytes_total{cipher=aes-ctr}"
+        before = registry.snapshot()["counters"][cipher_bytes]
+        for _ in range(3):
+            assert system.retrieve("doc") == data
+        counters = registry.snapshot()["counters"]
+        assert counters["maintenance_deferred_total{op=repair,reason=placement}"] == 3
+        # The placement is chosen before the encoding, so each deferred
+        # repair runs no cipher: the only AES-CTR bytes are the reads' own
+        # decryptions.
+        assert counters[cipher_bytes] == before + 3 * len(data)
+
 
 class TestFailedPlacementKeepsShares:
     """Maintenance that cannot place a fresh share set must leave every
@@ -547,7 +569,25 @@ class TestFailedPlacementKeepsShares:
         spare = archive.placement_policy.node("node-5")
         # Four of five shares still read, but five providers are needed.
         down = [archive.placement_policy.node(holder), spare]
-        self._assert_kept(archive, data, down, archive.advance_epoch)
+        keys, links = self._node_keys(archive), len(archive.chain)
+        for node in down:
+            node.set_online(False)
+        # The renewal is deferred; the epoch still completes and renews
+        # the chain.
+        report = archive.advance_epoch()
+        assert (report.objects_renewed, report.renewals_deferred) == (0, ["doc"])
+        assert report.chain_renewed and len(archive.chain) == links + 1
+        assert archive.epoch == 1
+        counters = registry.snapshot()["counters"]
+        assert counters["maintenance_deferred_total{op=renew,reason=placement}"] == 1
+        for node in down:
+            node.set_online(True)
+        assert self._node_keys(archive) == keys
+        assert archive.retrieve("doc") == data
+        # With the nodes back, the next epoch renews the object.
+        report = archive.advance_epoch()
+        assert (report.objects_renewed, report.renewals_deferred) == (1, [])
+        assert archive.retrieve("doc") == data
 
     def test_repair_on_read(self, registry):
         system = AontRsArchive(make_node_fleet(7), DeterministicRandom(2), n=6, k=4)
@@ -564,16 +604,15 @@ class TestFailedPlacementKeepsShares:
         keys = self._node_keys(system)
         for node in down:
             node.set_online(False)
-        # The read decoded, so a repair that cannot place is deferred and
-        # counted instead of failing the read.
+        # AONT-RS regenerates the rotted shard in place from the quorum the
+        # read decoded, so it needs no placement and repairs at once.
         assert system.retrieve("doc") == data
         assert self._node_keys(system) == keys
         counters = registry.snapshot()["counters"]
-        assert counters["maintenance_deferred_total{op=repair,reason=placement}"] == 1
-        assert "repairs_on_read_total" not in counters
+        assert counters["repairs_on_read_total"] == 1
+        assert not any(name.startswith("maintenance_deferred_total") for name in counters)
         for node in down:
             node.set_online(True)
-        # The next read retries the repair, and now it places.
         assert system.retrieve("doc") == data
         assert registry.snapshot()["counters"]["repairs_on_read_total"] == 1
 

@@ -350,15 +350,29 @@ class TestTierMigrator:
         )
         archive.store("doc", b"stays hot")
         placed = share_tiers(archive, "doc")
+
+        def node_keys():
+            return {(node.node_id, key) for node in archive.nodes for key in node.object_ids()}
+
+        keys, links = node_keys(), len(archive.chain)
         # Four hot nodes and one warm stay up: the demotion cannot place six shares.
         for node in archive.nodes[5:]:
             node.set_online(False)
-        with pytest.raises(StorageError):
-            archive.advance_epoch()
+        # The migration is deferred; the epoch still completes.
+        report = archive.advance_epoch()
+        assert (report.objects_demoted, report.migrations_deferred) == (0, ["doc"])
+        assert report.chain_renewed and len(archive.chain) == links + 1
+        counters = registry.snapshot()["counters"]
+        assert counters["maintenance_deferred_total{op=migrate,reason=placement}"] == 1
         for node in archive.nodes[5:]:
             node.set_online(True)
         assert migrator.tier_of("doc") == TIER_HOT
         assert share_tiers(archive, "doc") == placed
+        assert node_keys() == keys
+        # With the nodes back, the next epoch makes the demotion.
+        report = archive.advance_epoch()
+        assert (report.objects_demoted, report.migrations_deferred) == (1, [])
+        assert migrator.tier_of("doc") == TIER_WARM
         assert archive.retrieve("doc") == b"stays hot"
 
     def test_deleted_objects_are_forgotten(self, registry):
