@@ -249,26 +249,26 @@ class SecureArchive(ArchivalSystem):
     def _quorum(self, receipt: StoreReceipt) -> int:
         return receipt.metadata["threshold"]
 
-    def _repair(self, receipt, data, shares, indices):
+    def _read_decode(self, receipt, fetched, rotted):
         # Every policy's shares are values of one GF(256) polynomial, so the
-        # quorum just decoded rebuilds the rotted ones in place; the
-        # receipt, its timestamp and the placement stay as they are.
-        scheme = receipt.metadata["scheme"]
-        return self._rewrite_shares(
-            receipt, self._scheme.regenerate(as_shares(scheme, shares), indices)
-        )
+        # decode's interpolation also rebuilds the rotted ones, which the
+        # read rewrites in place; the receipt, its timestamp and the
+        # placement stay as they are.
+        self._require_quorum(receipt, fetched)
+        return self._scheme.reconstruct(self._split(receipt, fetched), regenerate=rotted)
 
     def _decode(self, receipt: StoreReceipt, fetched: dict[int, bytes]) -> bytes:
+        return self._scheme.reconstruct(self._split(receipt, fetched))
+
+    def _split(self, receipt: StoreReceipt, fetched: dict[int, bytes]) -> SplitResult:
         meta = receipt.metadata
-        return self._scheme.reconstruct(
-            SplitResult(
-                scheme=meta["scheme"],
-                shares=tuple(as_shares(meta["scheme"], fetched)),
-                threshold=meta["threshold"],
-                total=self.policy.n,
-                original_length=receipt.original_length,
-                public=meta["public"],
-            )
+        return SplitResult(
+            scheme=meta["scheme"],
+            shares=tuple(as_shares(meta["scheme"], fetched)),
+            threshold=meta["threshold"],
+            total=self.policy.n,
+            original_length=receipt.original_length,
+            public=meta["public"],
         )
 
     # -- batch ingest ------------------------------------------------------------------
@@ -351,18 +351,15 @@ class SecureArchive(ArchivalSystem):
                 _metrics.inc("archive_ops_total", op="retrieve")
                 receipt = self.receipt(object_id)
                 fetched = self._fetch_shares(receipt, need=self._quorum(receipt))
-                fetched_by_id.append((receipt, fetched, self.last_read_report))
+                fetched_by_id.append((receipt, fetched, self._rotted(), self.last_read_report))
             with ThreadPoolExecutor(max_workers=self._BATCH_WORKERS) as pool:
                 decoded = list(
-                    pool.map(
-                        lambda entry: self._checked_decode(entry[0], entry[1]),
-                        fetched_by_id,
-                    )
+                    pool.map(lambda entry: self._read_decode(*entry[:3]), fetched_by_id)
                 )
             results = []
-            for (receipt, fetched, report), data in zip(fetched_by_id, decoded):
+            for (receipt, _, _, report), (data, rebuilt) in zip(fetched_by_id, decoded):
                 self.last_read_report = report
-                data = self._finish_read(receipt, data, fetched)
+                data = self._finish_read(receipt, data, rebuilt)
                 _metrics.inc("archive_retrieve_bytes_total", len(data))
                 results.append(data)
         _metrics.observe_host(
@@ -541,7 +538,7 @@ class SecureArchive(ArchivalSystem):
             return report
 
     def _maintenance_reads(self):
-        """Context under which maintenance retrieves run: access tracking
+        """Context under which maintenance reads run: access tracking
         suspended (background reads are not demand); a no-op untiered."""
         if self.tiering is not None:
             return self.tiering.tracker.suspended()
@@ -556,6 +553,11 @@ class SecureArchive(ArchivalSystem):
         protocol -- used when holders must not see the secret -- lives in
         :mod:`repro.secretsharing.proactive` and is exercised by the
         proactive benchmark.  Packed and LRSS targets refresh the same way.
+
+        The read is maintenance, not a client retrieve: it counts no
+        retrieve op, bytes or span, and it repairs nothing on read, since
+        the renewal replaces every share anyway.
         """
         receipt = self.receipt(object_id)
-        return self._reencode(receipt, self.retrieve(object_id))
+        shares = self._fetch_shares(receipt, need=self._quorum(receipt))
+        return self._reencode(receipt, self._checked_decode(receipt, shares))

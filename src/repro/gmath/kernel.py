@@ -385,30 +385,28 @@ def lagrange_zero_plan(xs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _rs_decode_cached(
-    xs: tuple[int, ...], systematic_points: tuple[int, ...]
-) -> np.ndarray:
+def _rs_decode_cached(xs: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
     width = len(xs)
     inverse = _vandermonde_inverse_cached(xs, width)
-    evaluate = _vandermonde_cached(systematic_points, width)
+    evaluate = _vandermonde_cached(targets, width)
     composed = FieldMatrix(GF256, evaluate.tolist()).matmul(
         FieldMatrix(GF256, inverse.tolist()), record=False
     )
     return _freeze(composed.rows)
 
 
-def rs_decode_plan(
-    xs: tuple[int, ...], systematic_points: tuple[int, ...]
-) -> np.ndarray:
-    """One matrix taking surviving codeword rows straight to message rows.
+def rs_decode_plan(xs: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
+    """One matrix taking surviving codeword rows straight to the rows at
+    *targets*: message rows at the systematic points, and the shard at any
+    other codeword point.
 
     Composes the cached Vandermonde inverse (codeword rows -> coefficient
-    rows) with re-evaluation at the systematic points (coefficient rows ->
-    message rows).  Field arithmetic is exact, so folding the two steps
-    into one matmul is byte-identical to running them separately.
+    rows) with re-evaluation at the targets (coefficient rows -> target
+    rows).  Field arithmetic is exact, so folding the two steps into one
+    matmul is byte-identical to running them separately.
     """
     _metrics.inc("codec_plan_requests_total", plan="rs-decode")
-    return _rs_decode_cached(xs, systematic_points)
+    return _rs_decode_cached(xs, targets)
 
 
 def _freeze(rows: list[list[int]]) -> np.ndarray:

@@ -21,6 +21,7 @@ LRU-cached by survivor set instead of re-derived O(k^3) per read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -131,63 +132,66 @@ class ReedSolomonCode:
             )
         return shards
 
-    def decode_array(self, shards: list[Shard], original_length: int) -> np.ndarray:
+    def decode_array(
+        self,
+        shards: list[Shard],
+        original_length: int,
+        regenerate: Sequence[int] | None = None,
+    ) -> np.ndarray | tuple[np.ndarray, list[Shard]]:
         """Reconstruct the original payload as a flat uint8 array.
 
         Zero-copy sibling of :meth:`decode`: the returned array is a view of
         the decoded row matrix, so downstream stages (AONT unpackaging) can
         keep working on the buffer directly.
+
+        With *regenerate* (shard indices), returns ``(payload, shards)``.
+        Data and parity shards alike are values of the one degree-(k-1)
+        polynomial at x = index + 1, so the k shards decoded from fix the
+        rest: the interpolated decode's plan gains one row per rebuilt
+        shard, and a systematic decode spends its one matmul on them.
         """
+        wanted = tuple(regenerate or ())
+        unknown = [index for index in wanted if not 0 <= index < self.n]
+        if unknown:
+            raise ParameterError(f"shard indices {unknown} out of range for n={self.n}")
         _metrics.inc("rs_decode_bytes_total", original_length)
-        rows = self._decode_rows(shards)
+        rows, rebuilt = self._decode_rows(shards, tuple(self.points[i] for i in wanted))
         flat = rows.reshape(-1)
         if original_length > flat.size:
             raise DecodingError(
                 f"original_length {original_length} exceeds decoded size {flat.size}"
             )
-        return flat[:original_length]
+        if regenerate is None:
+            return flat[:original_length]
+        return flat[:original_length], [
+            Shard(index, row.tobytes()) for index, row in zip(wanted, rebuilt)
+        ]
 
     def decode(self, shards: list[Shard], original_length: int) -> bytes:
         """Reconstruct the original bytes from any k distinct shards."""
         return self.decode_array(shards, original_length).tobytes()
 
-    def _decode_rows(self, shards: list[Shard]) -> np.ndarray:
+    def _decode_rows(
+        self, shards: list[Shard], rebuild_points: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The k message rows, and the codeword rows at *rebuild_points*."""
         chosen = self._select_shards(shards)
-        indices = [s.index for s in chosen]
-        if indices[: self.k] == list(range(self.k)) and len(indices) >= self.k:
+        xs = tuple(self.points[s.index] for s in chosen)
+        payload = [np.frombuffer(s.data, dtype=np.uint8) for s in chosen]
+        if [s.index for s in chosen] == list(range(self.k)):
             # Fast path: all systematic shards survived.
             _metrics.inc("rs_decode_path_total", path="systematic")
-            return rows_as_matrix(
-                [np.frombuffer(s.data, dtype=np.uint8) for s in chosen[: self.k]]
-            )
+            rows = rows_as_matrix(payload)
+            if not rebuild_points:
+                return rows, rows[:0]
+            return rows, interpolate_rows(xs, payload, rebuild_points)
         _metrics.inc("rs_decode_path_total", path="interpolated")
-        xs = tuple(self.points[s.index] for s in chosen)
         # One cached plan takes surviving codeword rows straight to message
-        # rows: (evaluate at systematic points) o (Vandermonde inverse).
-        plan = rs_decode_plan(xs, tuple(self.points[: self.k]))
-        payload = rows_as_matrix(
-            [np.frombuffer(s.data, dtype=np.uint8) for s in chosen]
-        )
-        return gf256_matmul(plan, payload)
-
-    def regenerate(self, shards: list[Shard], indices: list[int]) -> list[Shard]:
-        """The shards at *indices*, rebuilt byte for byte from any k of
-        *shards*.
-
-        Data and parity shards alike are values of the one degree-(k-1)
-        polynomial at x = index + 1, so k of them fix the rest: one
-        (len(indices), k) matmul, with no decode and no re-encode.
-        """
-        unknown = [index for index in indices if not 0 <= index < self.n]
-        if unknown:
-            raise ParameterError(f"shard indices {unknown} out of range for n={self.n}")
-        chosen = self._select_shards(shards)
-        values = interpolate_rows(
-            tuple(self.points[s.index] for s in chosen),
-            [np.frombuffer(s.data, dtype=np.uint8) for s in chosen],
-            tuple(self.points[index] for index in indices),
-        )
-        return [Shard(index, row.tobytes()) for index, row in zip(indices, values)]
+        # rows (evaluate at systematic points) o (Vandermonde inverse), and
+        # on to the rebuilt shards' rows.
+        plan = rs_decode_plan(xs, tuple(self.points[: self.k]) + rebuild_points)
+        decoded = gf256_matmul(plan, rows_as_matrix(payload))
+        return decoded[: self.k], decoded[self.k :]
 
     def _select_shards(self, shards: list[Shard]) -> list[Shard]:
         seen: dict[int, Shard] = {}

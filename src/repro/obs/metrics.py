@@ -185,6 +185,13 @@ class Histogram:
 
 
 def _label_key(labels: dict[str, object]) -> tuple[tuple[str, str], ...]:
+    """The registry key part of *labels*: ``(name, str(value))`` pairs
+    sorted by name, so keyword order never splits a metric."""
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((name, value),) = labels.items()
+        return ((name, str(value)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -350,15 +357,26 @@ def use_registry(registry: MetricsRegistry | None = None):
 # -- module-level shorthands used by instrumentation sites ---------------------
 #
 # These resolve the active registry per call, so code that pre-imports them
-# still records into whatever registry a test has installed.
+# still records into whatever registry a test has installed.  ``inc`` and
+# ``observe`` probe the registry's dicts directly (a dict read is atomic);
+# only a metric's first use takes the locked path in ``counter`` or
+# ``histogram``.
 
 
 def inc(name: str, amount: int | float = 1, **labels) -> None:
-    _REGISTRY.counter(name, **labels).inc(amount)
+    registry = _REGISTRY
+    metric = registry._counters.get((name, _label_key(labels)))
+    if metric is None:
+        metric = registry.counter(name, **labels)
+    metric.inc(amount)
 
 
 def observe(name: str, value: float, **labels) -> None:
-    _REGISTRY.histogram(name, **labels).observe(value)
+    registry = _REGISTRY
+    metric = registry._histograms.get((name, _label_key(labels)))
+    if metric is None:
+        metric = registry.histogram(name, **labels)
+    metric.observe(value)
 
 
 def observe_host(name: str, value: float, **labels) -> None:

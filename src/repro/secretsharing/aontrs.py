@@ -69,7 +69,15 @@ class AontRsDispersal:
         self,
         shares: Sequence[Share] | SplitResult,
         original_length: int | None = None,
-    ) -> bytes:
+        *,
+        regenerate: Sequence[int] | None = None,
+    ) -> bytes | tuple[bytes, list[Share]]:
+        """Recover the plaintext from any k distinct shards.
+
+        With *regenerate* (shard indices), returns ``(plaintext, shares)``:
+        the Reed-Solomon decode rebuilds those shards from the same k, so
+        the AONT package is neither re-made nor re-split.
+        """
         if isinstance(shares, SplitResult):
             package_length = int.from_bytes(shares.public["package_length"], "big")
             share_list = list(shares.shares)
@@ -81,19 +89,14 @@ class AontRsDispersal:
         shards = [Shard(index=s.index, data=s.payload) for s in share_list]
         if len({s.index for s in shards}) < self.k:
             raise DecodingError(f"AONT-RS needs {self.k} distinct shards")
-        package = self.code.decode_array(shards, package_length)
+        package, rebuilt = self.code.decode_array(
+            shards, package_length, regenerate=regenerate or ()
+        )
         plain = aont_unpackage_array(package)
         record_reconstruct(self.name, len(plain))
-        return plain.tobytes()
-
-    def regenerate(self, shares: Sequence[Share], indices: Sequence[int]) -> list[Share]:
-        """The shares at *indices*, rebuilt byte for byte from any k of
-        *shares* by the Reed-Solomon code alone: the AONT package is neither
-        decoded nor re-made."""
-        shards = self.code.regenerate(
-            [Shard(index=s.index, data=s.payload) for s in shares], list(indices)
-        )
-        return [Share(scheme=self.name, index=s.index, payload=s.data) for s in shards]
+        if regenerate is None:
+            return plain.tobytes()
+        return plain.tobytes(), [Share(self.name, s.index, s.data) for s in rebuilt]
 
 
 def package_length_bytes(length: int) -> bytes:

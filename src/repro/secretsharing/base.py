@@ -93,30 +93,34 @@ def record_reconstruct(scheme: str, plaintext_bytes: int) -> None:
     _metrics.inc("secretsharing_decode_bytes_total", plaintext_bytes, scheme=scheme)
 
 
-def regenerated_shares(
+def interpolate_with_shares(
     scheme: str,
     quorum: Sequence[Share],
-    indices: Sequence[int],
+    targets: tuple[int, ...],
+    regenerate: Sequence[int] | None,
     points: Sequence[int],
-) -> list[Share]:
-    """The shares at *indices* of the polynomial a decode *quorum* fixes.
+) -> tuple[np.ndarray, list[Share]]:
+    """One interpolation through a decode *quorum*: the rows at *targets*
+    (the scheme's secret points) plus the shares at the share indices
+    *regenerate* (None: none).
 
     For schemes whose share i is one polynomial's value at x = i (Shamir,
-    packed; *points* are the scheme's share points), a decode quorum
-    determines every other share byte for byte.  Repair can rebuild a lost
-    share from the quorum a read just fetched, without drawing randomness
+    packed; *points* are the scheme's share points), the quorum a read
+    decodes from fixes every other share byte for byte, so repair rebuilds
+    a rotted share in the decode's own matmul, without drawing randomness
     or touching a healthy share.
     """
-    wanted = tuple(indices)
+    wanted = tuple(regenerate or ())
     unknown = [index for index in wanted if index not in points]
     if unknown:
         raise ParameterError(f"share indices {unknown} are not share points of {scheme}")
     values = interpolate_rows(
         tuple(share.index for share in quorum),
         [np.frombuffer(share.payload, dtype=np.uint8) for share in quorum],
-        wanted,
+        targets + wanted,
     )
-    return [
+    rebuilt = [
         Share(scheme=scheme, index=index, payload=row.tobytes())
-        for index, row in zip(wanted, values)
+        for index, row in zip(wanted, values[len(targets) :])
     ]
+    return values[: len(targets)], rebuilt

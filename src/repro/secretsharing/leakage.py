@@ -166,7 +166,20 @@ class LeakageResilientSharing:
             public={"masked_message": masked},
         )
 
-    def reconstruct(self, split: SplitResult | Sequence[Share], masked_message: bytes | None = None) -> bytes:
+    def reconstruct(
+        self,
+        split: SplitResult | Sequence[Share],
+        masked_message: bytes | None = None,
+        *,
+        regenerate: Sequence[int] | None = None,
+    ) -> bytes | tuple[bytes, list[Share]]:
+        """Recover the message from any t shares and the masked message.
+
+        With *regenerate* (share indices), returns ``(message, shares)``:
+        the shares are Shamir shares of the source, so the inner scheme
+        rebuilds them in the interpolation that recovers the source, and
+        the masked message stays as it is.
+        """
         if isinstance(split, SplitResult):
             masked_message = split.public["masked_message"]
             share_list = list(split.shares)
@@ -178,25 +191,20 @@ class LeakageResilientSharing:
             Share(scheme=self._inner.name, index=s.index, payload=s.payload)
             for s in share_list
         ]
-        source = self._inner.reconstruct(inner_shares)
+        source, inner_rebuilt = self._inner.reconstruct(
+            inner_shares, regenerate=regenerate or ()
+        )
         if len(source) < len(masked_message):
             raise DecodingError("reconstructed source shorter than message")
         mask = self._extract_mask(source, len(masked_message))
         record_reconstruct(self.name, len(masked_message))
-        return (
+        message = (
             np.frombuffer(masked_message, dtype=np.uint8)
             ^ np.frombuffer(mask[: len(masked_message)], dtype=np.uint8)
         ).tobytes()
-
-    def regenerate(self, shares: Sequence[Share], indices: Sequence[int]) -> list[Share]:
-        """The shares at *indices*, rebuilt byte for byte from any t of
-        *shares*: they are Shamir shares of the source, so the inner
-        scheme regenerates them and the masked message stays as it is."""
-        inner = self._inner.regenerate(
-            [Share(scheme=self._inner.name, index=s.index, payload=s.payload) for s in shares],
-            indices,
-        )
-        return [Share(scheme=self.name, index=s.index, payload=s.payload) for s in inner]
+        if regenerate is None:
+            return message
+        return message, [Share(self.name, s.index, s.payload) for s in inner_rebuilt]
 
 
 def linear_attack_against_lrss(

@@ -31,9 +31,9 @@ from repro.gmath.kernel import interpolate_rows
 from repro.secretsharing.base import (
     Share,
     SplitResult,
+    interpolate_with_shares,
     record_reconstruct,
     record_split,
-    regenerated_shares,
 )
 from repro.security import SecurityLevel
 
@@ -98,7 +98,19 @@ class PackedSecretSharing:
             original_length=original,
         )
 
-    def reconstruct(self, shares: Sequence[Share] | SplitResult, original_length: int | None = None) -> bytes:
+    def reconstruct(
+        self,
+        shares: Sequence[Share] | SplitResult,
+        original_length: int | None = None,
+        *,
+        regenerate: Sequence[int] | None = None,
+    ) -> bytes | tuple[bytes, list[Share]]:
+        """Recover the message from any t + k distinct shares.
+
+        With *regenerate* (share indices), returns ``(message, shares)``:
+        the shares at those indices come out of the same interpolation as
+        the k secret rows -- one (k + len(regenerate), t + k) matmul.
+        """
         if isinstance(shares, SplitResult):
             if original_length is None:
                 original_length = shares.original_length
@@ -107,24 +119,19 @@ class PackedSecretSharing:
             share_list = list(shares)
             if original_length is None:
                 raise ParameterError("original_length required when passing raw shares")
-        chosen = self._select(share_list)
-        chunk_rows = interpolate_rows(
-            tuple(s.index for s in chosen),
-            [np.frombuffer(s.payload, dtype=np.uint8) for s in chosen],
+        chunk_rows, rebuilt = interpolate_with_shares(
+            self.name,
+            self._select(share_list),
             tuple(self.secret_points),
+            regenerate,
+            self.share_points,
         )
         flat = chunk_rows.reshape(-1)
         if original_length > flat.size:
             raise DecodingError("original_length exceeds reconstructed size")
         record_reconstruct(self.name, original_length)
-        return flat[:original_length].tobytes()
-
-    def regenerate(self, shares: Sequence[Share], indices: Sequence[int]) -> list[Share]:
-        """The shares at *indices*, rebuilt byte for byte from any t + k of
-        *shares*: one (len(indices), t + k) matmul, no fresh split."""
-        return regenerated_shares(
-            self.name, self._select(list(shares)), indices, self.share_points
-        )
+        message = flat[:original_length].tobytes()
+        return message if regenerate is None else (message, rebuilt)
 
     # -- helpers ---------------------------------------------------------------------
 

@@ -29,16 +29,15 @@ from repro.crypto.registry import PrimitiveKind, register_primitive
 from repro.errors import DecodingError, ParameterError
 from repro.gmath.kernel import (
     gf256_matmul,
-    interpolate_rows,
     rows_as_matrix,
     vandermonde_plan,
 )
 from repro.secretsharing.base import (
     Share,
     SplitResult,
+    interpolate_with_shares,
     record_reconstruct,
     record_split,
-    regenerated_shares,
 )
 from repro.security import SecurityLevel
 
@@ -99,23 +98,26 @@ class ShamirSecretSharing:
 
     # -- reconstruction --------------------------------------------------------------
 
-    def reconstruct(self, shares: Sequence[Share] | SplitResult) -> bytes:
-        """Recover the secret from any t distinct shares."""
-        share_list = list(shares.shares) if isinstance(shares, SplitResult) else list(shares)
-        chosen = self._select(share_list)
-        # Cached Lagrange-at-zero plan: reconstruction is one (1, t) matmul.
-        acc = interpolate_rows(
-            tuple(s.index for s in chosen),
-            [np.frombuffer(s.payload, dtype=np.uint8) for s in chosen],
-            (0,),
-        )[0]
-        record_reconstruct(self.name, acc.size)
-        return acc.tobytes()
+    def reconstruct(
+        self,
+        shares: Sequence[Share] | SplitResult,
+        *,
+        regenerate: Sequence[int] | None = None,
+    ) -> bytes | tuple[bytes, list[Share]]:
+        """Recover the secret from any t distinct shares.
 
-    def regenerate(self, shares: Sequence[Share], indices: Sequence[int]) -> list[Share]:
-        """The shares at *indices*, rebuilt byte for byte from any t of
-        *shares*: one (len(indices), t) matmul, no fresh split."""
-        return regenerated_shares(self.name, self._select(list(shares)), indices, self.points)
+        With *regenerate* (share indices), returns ``(secret, shares)``:
+        the shares at those indices, rebuilt byte for byte by the same
+        interpolation -- one (1 + len(regenerate), t) matmul, no fresh split.
+        """
+        share_list = list(shares.shares) if isinstance(shares, SplitResult) else list(shares)
+        # Cached Lagrange plan at zero (and at the rebuilt points): one matmul.
+        rows, rebuilt = interpolate_with_shares(
+            self.name, self._select(share_list), (0,), regenerate, self.points
+        )
+        record_reconstruct(self.name, rows[0].size)
+        secret = rows[0].tobytes()
+        return secret if regenerate is None else (secret, rebuilt)
 
     def _select(self, shares: Sequence[Share]) -> list[Share]:
         seen: dict[int, Share] = {}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 
 from repro.crypto.drbg import DeterministicRandom
@@ -31,6 +32,7 @@ from repro.storage.faults import (
     default_retry_policy,
 )
 from repro.storage.node import StorageNode
+from repro.storage.tiering import TierSpec
 
 logger = logging.getLogger("repro.storage")
 
@@ -64,11 +66,30 @@ class PlacementPolicy:
         # so two identically-seeded runs replay the same delays.
         self._retry_rng = DeterministicRandom(retry_seed)
         self._rotation = 0
-        #: The bound tier migrator (repro.storage.tiering.TierMigrator) on a
-        #: tiered archive, installed by its ``bind``: it gives each share its
-        #: target tier, its registry orders fetches and prices reads, and
-        #: its tracker counts every object fetch.  None: the fleet is untiered.
         self.tiering = None
+
+    @property
+    def tiering(self):
+        """The bound tier migrator (repro.storage.tiering.TierMigrator) on a
+        tiered archive, installed by its ``bind``: it gives each share its
+        target tier, its registry orders fetches and prices reads, and its
+        tracker counts every object fetch.  None: the fleet is untiered."""
+        return self._tiering
+
+    @tiering.setter
+    def tiering(self, migrator) -> None:
+        self._tiering = migrator
+        # Nodes never change tier, so each node's fetch rank and read price
+        # are resolved once per binding, not per share of every read.
+        self._fetch_ranks: dict[str, int] = {}
+        self._read_tiers: dict[str, TierSpec] = {}
+        if migrator is not None:
+            registry = migrator.registry
+            for node_id, node in self.nodes.items():
+                tier = self._tier(node)
+                self._fetch_ranks[node_id] = len(registry) if tier is None else registry.rank(tier)
+                if tier is not None:
+                    self._read_tiers[node_id] = registry.get(tier)
 
     def node(self, node_id: str) -> StorageNode:
         try:
@@ -170,6 +191,7 @@ class PlacementPolicy:
     ) -> tuple[dict[int, bytes], DegradedReadReport]:
         """Degraded-read-aware fetch: stop as soon as *need* shares arrived.
 
+        Every share a node returns has passed the node's digest check.
         Transient faults (node unavailable, injected latency past the
         deadline) are retried under the placement's :class:`RetryPolicy`
         with seeded-jitter backoff; only after retries are exhausted is the
@@ -180,12 +202,20 @@ class PlacementPolicy:
         node) propagates on the first raise: a typo must not masquerade as
         "share unavailable".
 
-        On a tiered fleet the fetch order is (tier rank, share index) --
-        hot shares first, so a healthy hot quorum never touches cold media,
-        and a degraded read that *does* fall back to colder shares pays
-        that tier's archive-model read time (recorded in the report's
-        simulated wait and the ``tier_read_seconds`` histogram).  Untiered
+        On a tiered fleet the fetch order is (tier rank, share index):
+        hotter shares first, so a read takes cold shares only when the
+        warmer ones fall short of *need*, and every share read from a tier
+        pays that tier's archive-model read time (recorded in the report's
+        simulated wait and the ``tier_read_seconds`` histogram).  That is
+        not a promise that a healthy read stays off cold media: the tier
+        layout binds the object's tier to its first ``data_shares`` shares,
+        and where a decode needs more than that (packed sharing needs t + k)
+        every read takes the rest from cold (ROADMAP item 5).  Untiered
         fleets fetch in plain index order.
+
+        The fetch counters (attempts, shares, bytes, per-tier reads) are
+        bumped once per fetch by their totals, also when an error
+        propagates.
 
         Returns the fetched payloads plus a :class:`DegradedReadReport` of
         shares tried/failed, retries, and total simulated wait.
@@ -208,50 +238,62 @@ class PlacementPolicy:
             report.retry_errors[error_name] = report.retry_errors.get(error_name, 0) + 1
             report.simulated_wait_s += delay_s
 
-        for index in self._fetch_order(placement):
-            if need is not None and len(out) >= need:
-                report.stopped_early = True
-                break
-            node_id = placement.node_by_share[index]
-            node = self.node(node_id)
-            object_id = share_key(placement.object_id, index)
-            report.shares_tried += 1
-            if not node.online:
-                _metrics.inc("storage_fetch_attempts_total")
-                self._record_share_loss(node, object_id, "offline", "node offline")
-                report.shares_failed[index] = "offline"
-                continue
-
-            def attempt_get() -> bytes:
-                _metrics.inc("storage_fetch_attempts_total")
-                return node.get(object_id)
-
-            try:
-                payload = self.retry_policy.call(
-                    attempt_get, self._retry_rng, on_retry=on_retry
-                )
-            except NodeUnavailableError as exc:
-                self._record_share_loss(node, object_id, "offline", exc)
-                report.shares_failed[index] = "offline"
-            except DeadlineExceededError as exc:
-                self._record_share_loss(node, object_id, "timeout", exc)
-                report.shares_failed[index] = "timeout"
-            except ObjectNotFoundError as exc:
-                self._record_share_loss(node, object_id, "missing", exc)
-                report.shares_failed[index] = "missing"
-            except IntegrityError as exc:
-                self._record_share_loss(node, object_id, "corrupted", exc)
-                report.shares_failed[index] = "corrupted"
-            else:
-                out[index] = payload
-                report.shares_ok += 1
-                _metrics.inc("storage_shares_fetched_total")
-                _metrics.inc("storage_fetch_bytes_total", len(payload))
-                report.simulated_wait_s += self._price_tier_read(node, len(payload))
-            finally:
-                plan = getattr(node, "fault_plan", None)
-                if plan is not None:
-                    report.simulated_wait_s += plan.drain_wait_s()
+        read_tiers = self._read_tiers
+        fetched_bytes = 0
+        tier_reads: dict[str, int] = {}
+        try:
+            for index in self._fetch_order(placement):
+                if need is not None and len(out) >= need:
+                    report.stopped_early = True
+                    break
+                node_id = placement.node_by_share[index]
+                node = self.node(node_id)
+                object_id = share_key(placement.object_id, index)
+                report.shares_tried += 1
+                if not node.online:
+                    self._record_share_loss(node, object_id, "offline", "node offline")
+                    report.shares_failed[index] = "offline"
+                    continue
+                try:
+                    payload = self.retry_policy.call(
+                        partial(node.get, object_id), self._retry_rng, on_retry=on_retry
+                    )
+                except NodeUnavailableError as exc:
+                    self._record_share_loss(node, object_id, "offline", exc)
+                    report.shares_failed[index] = "offline"
+                except DeadlineExceededError as exc:
+                    self._record_share_loss(node, object_id, "timeout", exc)
+                    report.shares_failed[index] = "timeout"
+                except ObjectNotFoundError as exc:
+                    self._record_share_loss(node, object_id, "missing", exc)
+                    report.shares_failed[index] = "missing"
+                except IntegrityError as exc:
+                    self._record_share_loss(node, object_id, "corrupted", exc)
+                    report.shares_failed[index] = "corrupted"
+                else:
+                    out[index] = payload
+                    report.shares_ok += 1
+                    fetched_bytes += len(payload)
+                    tier = read_tiers.get(node_id)
+                    if tier is not None:
+                        cost_s = tier.read_seconds(len(payload))
+                        tier_reads[tier.name] = tier_reads.get(tier.name, 0) + 1
+                        _metrics.observe("tier_read_seconds", cost_s, tier=tier.name)
+                        report.simulated_wait_s += cost_s
+                finally:
+                    plan = getattr(node, "fault_plan", None)
+                    if plan is not None:
+                        report.simulated_wait_s += plan.drain_wait_s()
+        finally:
+            # One attempt per share tried, plus one per retry.
+            attempts = report.shares_tried + report.retries
+            if attempts:
+                _metrics.inc("storage_fetch_attempts_total", attempts)
+            if report.shares_ok:
+                _metrics.inc("storage_shares_fetched_total", report.shares_ok)
+                _metrics.inc("storage_fetch_bytes_total", fetched_bytes)
+            for tier_name, reads in tier_reads.items():
+                _metrics.inc("tier_reads_total", reads, tier=tier_name)
         return out, report
 
     def _fetch_order(self, placement: Placement) -> list[int]:
@@ -262,24 +304,16 @@ class PlacementPolicy:
         indices = sorted(placement.node_by_share)
         if self.tiering is None:
             return indices
-        registry = self.tiering.registry
+        ranks = self._fetch_ranks
 
         def rank(index: int) -> int:
-            tier = self._tier(self.node(placement.node_by_share[index]))
-            return len(registry) if tier is None else registry.rank(tier)
+            node_id = placement.node_by_share[index]
+            if node_id not in ranks:
+                self.node(node_id)  # raises: a bad placement map
+            return ranks[node_id]
 
-        return sorted(indices, key=lambda index: (rank(index), index))
-
-    def _price_tier_read(self, node: StorageNode, payload_bytes: int) -> float:
-        """Archive-model read time of one share on *node*'s tier medium
-        (0.0 for an untiered node), recorded per tier."""
-        tier = self._tier(node)
-        if tier is None:
-            return 0.0
-        cost_s = self.tiering.registry.get(tier).read_seconds(payload_bytes)
-        _metrics.inc("tier_reads_total", tier=tier)
-        _metrics.observe("tier_read_seconds", cost_s, tier=tier)
-        return cost_s
+        # A stable sort of index order: (rank, index) order.
+        return sorted(indices, key=rank)
 
     @staticmethod
     def _record_share_loss(

@@ -50,9 +50,12 @@ class AontRsArchive(ArchivalSystem):
             as_shares("aont-rs", shards), original_length=receipt.original_length
         )
 
-    def _repair(self, receipt, data, shards, indices):
-        # Shards are values of one polynomial: the k just fetched rebuild
-        # the rotted ones in place, with no new AONT package.
-        return self._rewrite_shares(
-            receipt, self.dispersal.regenerate(as_shares("aont-rs", shards), indices)
+    def _read_decode(self, receipt, shards, rotted):
+        # Shards are values of one polynomial: the decode of the k just
+        # fetched rebuilds the rotted ones too, with no new AONT package.
+        self._require_quorum(receipt, shards)
+        return self.dispersal.reconstruct(
+            as_shares("aont-rs", shards),
+            original_length=receipt.original_length,
+            regenerate=rotted,
         )

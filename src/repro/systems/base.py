@@ -25,12 +25,13 @@ it encodes an object, so a subclass supplies these hooks:
     Optional step after a fresh encoding is placed, by a store or a
     re-encode (a timestamp, a ledger record, the object's new keys).
 
-``_repair(receipt, data, shares, indices) -> int``
-    Optional: rewrite the rotted shares a read found, given the quorum it
-    decoded from.  The default re-encodes the whole object, which every
-    system can do.  Systems whose shares are evaluations of one GF(256)
-    polynomial (``SecureArchive``, ``AontRsArchive``) regenerate just the
-    rotted shares from that quorum and rewrite them in place
+``_read_decode(receipt, shares, rotted) -> (bytes, rebuilt shares | None)``
+    Optional: a read's decode, given the rotted share indices its fetch
+    found.  The default decodes and returns None, and repair-on-read
+    re-encodes the whole object, which every system can do.  Systems whose
+    shares are evaluations of one GF(256) polynomial (``SecureArchive``,
+    ``AontRsArchive``) rebuild the rotted shares in the decode's own
+    interpolation, and the read rewrites them in place
     (:meth:`ArchivalSystem._rewrite_shares`): nothing is drawn, placed,
     deleted or sealed again.
 
@@ -260,8 +261,9 @@ class ArchivalSystem(abc.ABC):
         """Degraded-read fetch: stop once *need* decodable shares arrived.
 
         The per-fetch :class:`DegradedReadReport` lands in
-        :attr:`last_read_report`; a read finishes with :meth:`_finish_read`
-        so corrupted shares get repaired on read.
+        :attr:`last_read_report`; a read decodes with :meth:`_read_decode`
+        and finishes with :meth:`_finish_read`, so corrupted shares get
+        repaired on read.
         """
         shares, report = self.placement_policy.fetch_degraded(
             receipt.placement, need=need
@@ -269,45 +271,51 @@ class ArchivalSystem(abc.ABC):
         self.last_read_report = report
         return shares
 
+    def _rotted(self) -> list[int]:
+        """The shares the last fetch found rotted and no read has repaired."""
+        report = self.last_read_report
+        if report is None or report.shares_repaired:
+            return []
+        return report.repair_candidates
+
+    def _read_decode(
+        self, receipt: StoreReceipt, shares: dict[int, bytes], rotted: list[int]
+    ) -> tuple[bytes, list[Share] | None]:
+        """Decode a read's *shares*, whose fetch found the shares at
+        *rotted* corrupted.  Returns the data and the rotted shares rebuilt
+        from the same quorum, or None: this system repairs by re-encoding."""
+        return self._checked_decode(receipt, shares), None
+
     def _finish_read(
-        self, receipt: StoreReceipt, data: bytes, shares: dict[int, bytes]
+        self, receipt: StoreReceipt, data: bytes, rebuilt: list[Share] | None
     ) -> bytes:
         """Post-decode step of every read: repair-on-read rewrites the
-        shares that failed their integrity check, given the *shares* the
-        object decoded from.
+        shares the fetch found rotted -- the *rebuilt* ones in place, or,
+        where the decode rebuilt none, a fresh encoding of the whole object.
 
         A repair that cannot place, or whose put still fails after its
         retries, is deferred, not raised: the read has already decoded, the
         shares it did not rewrite and the receipt stay as they were, and
         the next read of the object tries the repair again."""
-        report = self.last_read_report
-        if report is not None and report.repair_candidates and not report.shares_repaired:
-            rotted = report.repair_candidates
+        rotted = self._rotted()
+        if not rotted:
+            return data
+        if rebuilt is not None:
+            rewritten = self._rewrite_shares(receipt, rebuilt)
+        else:
             try:
-                rewritten = self._repair(receipt, data, shares, rotted)
+                self._reencode(receipt, data)
             except PlacementShortfallError:
                 _metrics.inc("maintenance_deferred_total", op="repair", reason="placement")
                 return data
-            if rewritten:
-                _metrics.inc("repairs_on_read_total", rewritten)
-            if rewritten < len(rotted):
-                _metrics.inc("maintenance_deferred_total", op="repair", reason="put")
-            else:
-                report.shares_repaired = rewritten
+            rewritten = len(rotted)
+        if rewritten:
+            _metrics.inc("repairs_on_read_total", rewritten)
+        if rewritten < len(rotted):
+            _metrics.inc("maintenance_deferred_total", op="repair", reason="put")
+        else:
+            self.last_read_report.shares_repaired = rewritten
         return data
-
-    def _repair(
-        self,
-        receipt: StoreReceipt,
-        data: bytes,
-        shares: dict[int, bytes],
-        indices: list[int],
-    ) -> int:
-        """Rewrite the rotted shares at *indices* of an object a read just
-        decoded from *shares*; returns how many were rewritten.  The default
-        re-encodes the whole object."""
-        self._reencode(receipt, data)
-        return len(indices)
 
     def _reencode(self, receipt: StoreReceipt, data: bytes) -> int:
         """Replace *receipt*'s shares with a fresh encoding of *data* under
@@ -353,12 +361,15 @@ class ArchivalSystem(abc.ABC):
 
     def _checked_decode(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> bytes:
         """:meth:`_decode`, once *shares* meet the receipt's quorum."""
+        self._require_quorum(receipt, shares)
+        return self._decode(receipt, shares)
+
+    def _require_quorum(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> None:
         quorum = self._quorum(receipt)
         if quorum is not None and len(shares) < quorum:
             raise DecodingError(
                 f"{receipt.object_id}: {len(shares)} shares held, {quorum} needed"
             )
-        return self._decode(receipt, shares)
 
     # -- store / retrieve ----------------------------------------------------------------
 
@@ -370,7 +381,8 @@ class ArchivalSystem(abc.ABC):
         """Fetch shares up to the quorum and decode the object."""
         receipt = self.receipt(object_id)
         shares = self._fetch_shares(receipt, need=self._quorum(receipt))
-        return self._finish_read(receipt, self._checked_decode(receipt, shares), shares)
+        data, rebuilt = self._read_decode(receipt, shares, self._rotted())
+        return self._finish_read(receipt, data, rebuilt)
 
     def receipt(self, object_id: str) -> StoreReceipt:
         try:

@@ -32,6 +32,7 @@ from repro.storage.faults import (
 )
 from repro.storage.node import StorageNode, make_node_fleet
 from repro.storage.placement import Placement, PlacementPolicy, share_key
+from repro.storage.tiering import TIER_COLD, TIER_HOT, make_tiered_fleet
 from repro.systems import ArchiveSafeLT, CloudProviderArchive, ElsaStyleArchive, VsrArchive
 from repro.systems.aontrs_system import AontRsArchive
 
@@ -390,6 +391,16 @@ class TestDegradedFetch:
         bogus = Placement(object_id="doc", node_by_share={0: "no-such-node"})
         with pytest.raises(StorageError, match="no-such-node"):
             policy.fetch_degraded(bogus)
+
+    def test_bad_placement_map_raises_on_a_tiered_fleet(self, registry):
+        """The tiered fetch order ranks every share's node first; an
+        unknown node raises there, even past the quorum."""
+        fleet = make_tiered_fleet({TIER_HOT: 2, TIER_COLD: 2})
+        archive = SecureArchive(CENTURY_SAFE, fleet, DeterministicRandom(0))
+        archive.enable_tiering()
+        bogus = Placement(object_id="doc", node_by_share={0: "node-hot-0", 1: "no-such-node"})
+        with pytest.raises(StorageError, match="no-such-node"):
+            archive.placement_policy.fetch_degraded(bogus, need=1)
 
     def test_unexpected_error_inside_node_propagates_unretried(self, registry):
         class ExplodingNode(StorageNode):

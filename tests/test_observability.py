@@ -23,8 +23,10 @@ from repro.crypto.drbg import DeterministicRandom
 from repro.crypto.sha256 import sha256_hex
 from repro.errors import ParameterError, StorageError
 from repro.integrity.audit import StorageAuditor
+from repro.obs.metrics import _label_key
 from repro.obs import (
     Histogram,
+    metrics,
     current_span,
     exponential_buckets,
     get_registry,
@@ -64,6 +66,31 @@ class TestRegistry:
         snap = registry.snapshot()["counters"]
         assert snap["test_total{node=a,reason=offline}"] == 2
         assert snap["test_total{node=a,reason=missing}"] == 1
+
+    @pytest.mark.parametrize(
+        "labels, expected",
+        [
+            ({}, ()),
+            ({"tier": "hot"}, (("tier", "hot"),)),
+            ({"reads": 3}, (("reads", "3"),)),
+            ({"tier": "hot", "kind": "a"}, (("kind", "a"), ("tier", "hot"))),
+            (
+                {"c": None, "a": 1.5, "b": True},
+                (("a", "1.5"), ("b", "True"), ("c", "None")),
+            ),
+        ],
+        ids=["none", "one", "one-non-str", "two", "three-non-str"],
+    )
+    def test_label_key_is_sorted_by_name(self, labels, expected):
+        assert _label_key(labels) == expected
+        assert _label_key(dict(reversed(list(labels.items())))) == expected
+
+    def test_module_helpers_record_into_the_registry_metric(self, registry):
+        metrics.inc("test_total", 2, reason="offline", node="a")
+        metrics.inc("test_total", node="a", reason="offline")
+        metrics.observe("test_seconds", 0.5, lane="a")
+        assert registry.counter("test_total", reason="offline", node="a").value == 3
+        assert registry.histogram("test_seconds", lane="a").count == 1
 
     def test_gauge_semantics(self, registry):
         gauge = registry.gauge("test_nodes_online")

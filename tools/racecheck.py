@@ -302,7 +302,13 @@ def check_aes(phase: Phase, seed: int, iterations: int) -> None:
 
 def check_metrics(phase: Phase, seed: int, iterations: int) -> None:
     """Concurrent inc/observe/set lose no updates, and two identically
-    seeded runs produce byte-identical snapshots regardless of schedule."""
+    seeded runs produce byte-identical snapshots regardless of schedule.
+
+    Both entry points are hammered: the registry accessors, and the
+    module-level ``metrics.inc``/``metrics.observe`` the program calls,
+    whose unlocked dict probe races each metric's first use across the
+    threads (no label, one label, two labels in both keyword orders).
+    """
 
     def stress_run() -> dict:
         rng = np.random.default_rng(seed + 2)
@@ -321,6 +327,14 @@ def check_metrics(phase: Phase, seed: int, iterations: int) -> None:
                     registry.histogram("racecheck_latency_seconds").observe(value)
                     registry.gauge("racecheck_inflight").dec()
                     registry.gauge("racecheck_last_value").set(float(value))
+                    metrics.inc("racecheck_helper_total")
+                    metrics.inc("racecheck_helper_bytes_total", 3, kind="payload")
+                    metrics.inc("racecheck_helper_pairs_total", kind="payload", lane="a")
+                    metrics.inc("racecheck_helper_pairs_total", lane="a", kind="payload")
+                    metrics.observe("racecheck_helper_seconds", value)
+                    metrics.observe("racecheck_helper_seconds", value, lane="a")
+                    metrics.observe("racecheck_helper_seconds", value, kind="payload", lane="a")
+                    metrics.observe("racecheck_helper_seconds", value, lane="a", kind="payload")
 
             def prober() -> None:
                 # Snapshots taken mid-flight must never tear or raise; their
@@ -358,6 +372,27 @@ def check_metrics(phase: Phase, seed: int, iterations: int) -> None:
     phase.check(
         snap_a["gauges"].get("racecheck_inflight") == 0.0,
         "gauge inc/dec pairs cancel exactly",
+    )
+    phase.check(
+        counters.get("racecheck_helper_total") == expected
+        and counters.get("racecheck_helper_bytes_total{kind=payload}") == 3 * expected,
+        "module-level inc exact under contention, unlabeled and labeled",
+    )
+    phase.check(
+        counters.get("racecheck_helper_pairs_total{kind=payload,lane=a}") == 2 * expected,
+        "two labels in either keyword order land on one counter",
+    )
+    helper_counts = {
+        name: snap_a["histograms"].get(name, {}).get("count")
+        for name in (
+            "racecheck_helper_seconds",
+            "racecheck_helper_seconds{lane=a}",
+            "racecheck_helper_seconds{kind=payload,lane=a}",
+        )
+    }
+    phase.check(
+        list(helper_counts.values()) == [expected, expected, 2 * expected],
+        f"module-level observe exact under contention ({helper_counts})",
     )
     hist = snap_a["histograms"]["racecheck_latency_seconds"]
     phase.check(hist["count"] == expected, "histogram count exact under contention")
