@@ -46,7 +46,7 @@ from repro.secretsharing.base import SplitResult
 from repro.secretsharing.leakage import LeakageResilientSharing
 from repro.secretsharing.packed import PackedSecretSharing
 from repro.secretsharing.shamir import ShamirSecretSharing
-from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, split_payloads
+from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, share_payloads
 
 
 @dataclass
@@ -208,9 +208,9 @@ class SecureArchive(ArchivalSystem):
         # Hash-based signers are finite-use; a long ingest stream must not
         # crash mid-epoch when the key budget runs out.
         self._rollover_signer_if_needed()
-        return self._commit(object_id, data, *(encoded or self._encode(object_id, data, None)))
+        return self._commit(object_id, data, *(encoded or self._encode(object_id, data)))
 
-    def _encode(self, object_id, data, like):
+    def _encode(self, object_id, data):
         return self._encoded(self._scheme.split(data, self.rng))
 
     @staticmethod
@@ -220,12 +220,9 @@ class SecureArchive(ArchivalSystem):
             "threshold": split.threshold,
             "public": dict(split.public),
         }
-        return split_payloads(split), metadata, {}
+        return share_payloads(split.shares), metadata, {}
 
     def _seal(self, receipt: StoreReceipt, data: bytes) -> None:
-        # Renewal and repair re-encode the same data: its timestamp stands.
-        if "chain_index" in receipt.metadata:
-            return
         link, opening = self.authority.timestamp_document(
             self.chain,
             data,
@@ -249,16 +246,14 @@ class SecureArchive(ArchivalSystem):
     def _quorum(self, receipt: StoreReceipt) -> int:
         return receipt.metadata["threshold"]
 
-    def _read_decode(self, receipt, fetched, rotted):
+    def _decode(self, receipt: StoreReceipt, fetched: dict[int, bytes], regenerate):
         # Every policy's shares are values of one GF(256) polynomial, so the
         # decode's interpolation also rebuilds the rotted ones, which the
         # read rewrites in place; the receipt, its timestamp and the
         # placement stay as they are.
-        self._require_quorum(receipt, fetched)
-        return self._scheme.reconstruct(self._split(receipt, fetched), regenerate=rotted)
-
-    def _decode(self, receipt: StoreReceipt, fetched: dict[int, bytes]) -> bytes:
-        return self._scheme.reconstruct(self._split(receipt, fetched))
+        split = self._split(receipt, fetched)
+        data, rebuilt = self._scheme.reconstruct(split, regenerate=regenerate)
+        return data, share_payloads(rebuilt)
 
     def _split(self, receipt: StoreReceipt, fetched: dict[int, bytes]) -> SplitResult:
         meta = receipt.metadata
@@ -351,10 +346,11 @@ class SecureArchive(ArchivalSystem):
                 _metrics.inc("archive_ops_total", op="retrieve")
                 receipt = self.receipt(object_id)
                 fetched = self._fetch_shares(receipt, need=self._quorum(receipt))
-                fetched_by_id.append((receipt, fetched, self._rotted(), self.last_read_report))
+                report = self.last_read_report
+                fetched_by_id.append((receipt, fetched, report.repair_candidates, report))
             with ThreadPoolExecutor(max_workers=self._BATCH_WORKERS) as pool:
                 decoded = list(
-                    pool.map(lambda entry: self._read_decode(*entry[:3]), fetched_by_id)
+                    pool.map(lambda entry: self._checked_decode(*entry[:3]), fetched_by_id)
                 )
             results = []
             for (receipt, _, _, report), (data, rebuilt) in zip(fetched_by_id, decoded):
@@ -556,8 +552,16 @@ class SecureArchive(ArchivalSystem):
 
         The read is maintenance, not a client retrieve: it counts no
         retrieve op, bytes or span, and it repairs nothing on read, since
-        the renewal replaces every share anyway.
+        the renewal replaces every share anyway.  The receipt's share
+        indices are placed before the new split is drawn, so a shortfall
+        raises with nothing drawn or encoded.  The data is unchanged, so
+        its timestamp stands.
         """
         receipt = self.receipt(object_id)
         shares = self._fetch_shares(receipt, need=self._quorum(receipt))
-        return self._reencode(receipt, self._checked_decode(receipt, shares))
+        data, _ = self._checked_decode(receipt, shares)
+        placement = self.placement_policy.place(object_id, sorted(receipt.placement.node_by_share))
+        payloads, metadata, _ = self._encode(object_id, data)
+        written = self._replace_shares(receipt, placement, payloads)
+        receipt.metadata.update(metadata)
+        return written

@@ -17,7 +17,7 @@ adversary outcomes the paper highlights --
 from __future__ import annotations
 
 from repro.secretsharing.aontrs import AontRsDispersal
-from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, split_payloads
+from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, share_payloads
 
 
 class AontRsArchive(ArchivalSystem):
@@ -31,31 +31,25 @@ class AontRsArchive(ArchivalSystem):
         super().__init__(nodes, rng)
         self.dispersal = AontRsDispersal(n, k)
 
-    def _encode(self, object_id, data, like):
+    def _encode(self, object_id, data):
         metadata = {
             "n": self.dispersal.n,
             "k": self.dispersal.k,
             "package_length": len(data) + 32,
         }
-        return split_payloads(self.dispersal.split(data, self.rng)), metadata, {}
+        return share_payloads(self.dispersal.split(data, self.rng).shares), metadata, {}
 
     def _quorum(self, receipt: StoreReceipt) -> int:
         # Degraded read: any k decodable shards suffice.
         return receipt.metadata["k"]
 
-    def _decode(self, receipt: StoreReceipt, shards: dict[int, bytes]) -> bytes:
+    def _decode(self, receipt: StoreReceipt, shards: dict[int, bytes], regenerate):
         # Threshold theft decodes the same way: the AONT opens with no
-        # cryptanalysis at all.
-        return self.dispersal.reconstruct(
-            as_shares("aont-rs", shards), original_length=receipt.original_length
-        )
-
-    def _read_decode(self, receipt, shards, rotted):
-        # Shards are values of one polynomial: the decode of the k just
-        # fetched rebuilds the rotted ones too, with no new AONT package.
-        self._require_quorum(receipt, shards)
-        return self.dispersal.reconstruct(
+        # cryptanalysis at all.  Shards are values of one polynomial, so the
+        # decode of k rebuilds the rotted ones too, with no new AONT package.
+        data, rebuilt = self.dispersal.reconstruct(
             as_shares("aont-rs", shards),
             original_length=receipt.original_length,
-            regenerate=rotted,
+            regenerate=regenerate,
         )
+        return data, share_payloads(rebuilt)

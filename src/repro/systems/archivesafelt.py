@@ -92,11 +92,9 @@ class ArchiveSafeLT(ArchivalSystem):
 
     # -- encoding ------------------------------------------------------------------------
 
-    def _encode(self, object_id, data, like):
-        # A first store layers AES over ChaCha20; a repair re-encodes under
-        # the object's own layers (a wrap's extra layer included), with
-        # fresh keys.
-        layers = ["chacha20", "aes-256-ctr"] if like is None else list(like["layers"])
+    def _encode(self, object_id, data):
+        # AES over ChaCha20; a wrap adds layers later (respond_to_break).
+        layers = ["chacha20", "aes-256-ctr"]
         history = [self._new_layer_material(name) for name in layers]
         cascade, keys = self._cascade(history)
         payload = self._frame(cascade.depth, cascade.encrypt(keys, data))
@@ -104,18 +102,21 @@ class ArchiveSafeLT(ArchivalSystem):
         return payloads, {"layers": layers}, {"key_history": history}
 
     def _seal(self, receipt: StoreReceipt, data: bytes) -> None:
-        # The new keys replace the history only once their ciphertext is
-        # placed: a repair that fails to place keeps the old replicas readable.
+        # The history takes the keys only once their ciphertext is placed:
+        # a store that fails to place leaves no keys behind.
         self._key_history[receipt.object_id] = receipt.escrow.pop("key_history")
 
     def _quorum(self, receipt: StoreReceipt) -> int:
         # Degraded read: one intact framed replica is enough.
         return 1
 
-    def _decode(self, receipt: StoreReceipt, replicas: dict[int, bytes]) -> bytes:
-        layer_count, body = self._unframe(next(iter(replicas.values())))
+    def _decode(self, receipt: StoreReceipt, replicas: dict[int, bytes], regenerate):
+        # Every replica holds the same framed ciphertext (a wrap rewrites
+        # them all), so the one decrypted is each rotted replica, rebuilt.
+        replica = next(iter(replicas.values()))
+        layer_count, body = self._unframe(replica)
         cascade, keys = self._cascade(self._key_history[receipt.object_id][:layer_count])
-        return cascade.decrypt(keys, body)
+        return cascade.decrypt(keys, body), dict.fromkeys(regenerate, replica)
 
     # -- break response -------------------------------------------------------------------
 

@@ -8,42 +8,37 @@ Each system is a client-side pipeline over a fleet of
 The base class owns that pipeline -- store, retrieve, repair-on-read and
 share replacement -- plus placement, the transit channel, storage
 accounting and the adversary-facing hooks.  A system differs only in how
-it encodes an object, so a subclass supplies these hooks:
+it encodes an object, so a subclass supplies four hooks:
 
-``_encode(object_id, data, like) -> (payloads, metadata, escrow)``
+``_encode(object_id, data) -> (payloads, metadata, escrow)``
     Encode one object into ``{share index: payload}``, the receipt's public
-    metadata and its escrow.  *like* is None on a first store; a repair or
-    renewal passes the metadata of the receipt it re-encodes, so the object
-    keeps its own parameters (PASIS policy, ArchiveSafeLT layers) under
-    fresh randomness.
-``_decode(receipt, shares) -> bytes``
-    Decode ``{share index: payload}``; the base has checked the quorum.
+    metadata and its escrow.
+``_decode(receipt, shares, regenerate) -> (bytes, {share index: payload})``
+    Decode ``{share index: payload}`` (the base has checked the quorum),
+    and rebuild from the same quorum the shares at the indices
+    *regenerate* lists (empty unless a read found shares rotted).
 ``_quorum(receipt) -> int | None``
     The shares a read stops at and a decode needs (None: every placed
     share, no single quorum).
 ``_seal(receipt, data)``
-    Optional step after a fresh encoding is placed, by a store or a
-    re-encode (a timestamp, a ledger record, the object's new keys).
+    Optional step after a store is placed (a timestamp, a ledger record,
+    the object's keys).
 
-``_read_decode(receipt, shares, rotted) -> (bytes, rebuilt shares | None)``
-    Optional: a read's decode, given the rotted share indices its fetch
-    found.  The default decodes and returns None, and repair-on-read
-    re-encodes the whole object, which every system can do.  Systems whose
-    shares are evaluations of one GF(256) polynomial (``SecureArchive``,
-    ``AontRsArchive``) rebuild the rotted shares in the decode's own
-    interpolation, and the read rewrites them in place
-    (:meth:`ArchivalSystem._rewrite_shares`): nothing is drawn, placed,
-    deleted or sealed again.
+Repair-on-read is regeneration on every system: the quorum a read decoded
+fixes every other share byte for byte (a replica is its own copy; Shamir
+and Reed-Solomon shares are values of one polynomial), so ``_decode``
+rebuilds the rotted shares and the read rewrites each where it already is
+(:meth:`ArchivalSystem._rewrite_shares`).  A repair draws no encoding
+randomness and places, deletes or seals nothing, so receipts and keys stay
+as they are.
 
-``_encode`` changes no system state.  Client-held keys a new encoding
-needs ride in its escrow until ``_seal`` installs them, so a re-encode
-whose placement fails leaves the object's old keys in force.
+``_encode`` changes no system state.  Client-held keys an encoding needs
+ride in its escrow until ``_seal`` installs them, so a store whose
+placement fails leaves no key behind.
 
-Every share replacement -- a re-encoding repair-on-read, renewal, tier
-migration, redistribution -- goes through
-:meth:`ArchivalSystem._replace_shares`, which takes a placement its caller
-chose before encoding.  A regenerating repair replaces no share set: it
-rewrites single shares where they already are.
+Every share replacement -- renewal, tier migration, redistribution -- goes
+through :meth:`ArchivalSystem._replace_shares`, which takes a placement its
+caller chose before encoding.
 
 Adversary hooks
 ---------------
@@ -69,20 +64,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from repro.channels.base import Transmission
 from repro.channels.tls import TlsLikeChannel
 from repro.crypto.drbg import DeterministicRandom
 from repro.crypto.registry import BreakTimeline
-from repro.errors import (
-    DecodingError,
-    ObjectNotFoundError,
-    ParameterError,
-    PlacementShortfallError,
-    StillSecureError,
-)
+from repro.errors import DecodingError, ObjectNotFoundError, ParameterError, StillSecureError
 from repro.obs import metrics as _metrics
-from repro.secretsharing.base import Share, SplitResult
+from repro.secretsharing.base import Share
 from repro.security import SecurityNotion, StorageCostBand
 from repro.storage.faults import RETRYABLE_ERRORS, DegradedReadReport
 from repro.storage.node import StorageNode
@@ -109,9 +99,9 @@ class TranscriptEntry:
     transmission: Transmission
 
 
-def split_payloads(split: SplitResult) -> dict[int, bytes]:
-    """A split's shares as ``{share index: payload}``, ready to place."""
-    return {share.index: share.payload for share in split.shares}
+def share_payloads(shares: Iterable[Share]) -> dict[int, bytes]:
+    """*shares* as ``{share index: payload}``, ready to place or rewrite."""
+    return {share.index: share.payload for share in shares}
 
 
 def as_shares(scheme: str, payloads: dict[int, bytes]) -> list[Share]:
@@ -221,8 +211,7 @@ class ArchivalSystem(abc.ABC):
     ) -> int:
         """Swap *receipt*'s placed shares for *payload_by_index* at
         *placement*; returns the bytes written.  Every share replacement --
-        a re-encoding repair, renewal, tier migration, redistribution --
-        runs through here.
+        renewal, tier migration, redistribution -- runs through here.
 
         The caller places before it encodes, so a replacement that finds
         too few nodes raises with the object intact and no encoding spent.
@@ -237,19 +226,19 @@ class ArchivalSystem(abc.ABC):
         receipt.placement = placement
         return sum(len(p) for p in payload_by_index.values())
 
-    def _rewrite_shares(self, receipt: StoreReceipt, shares: list[Share]) -> int:
-        """Send each of *shares* to the node and key that already hold that
-        share index; returns how many were written.
+    def _rewrite_shares(self, receipt: StoreReceipt, payloads: dict[int, bytes]) -> int:
+        """Send each of *payloads* to the node and key that already hold
+        that share index; returns how many were written.
 
         Placement, receipt and every other share stay as they are.  A put
         that still fails after its retries leaves that node's copy alone
         and is skipped, so the caller can defer the rest of the repair.
         """
         written = 0
-        for share in shares:
-            node = self.placement_policy.node(receipt.placement.node_by_share[share.index])
+        for index, payload in payloads.items():
+            node = self.placement_policy.node(receipt.placement.node_by_share[index])
             try:
-                self._send_share(node, receipt.object_id, share.index, share.payload)
+                self._send_share(node, receipt.object_id, index, payload)
             except RETRYABLE_ERRORS:
                 continue
             written += 1
@@ -261,9 +250,8 @@ class ArchivalSystem(abc.ABC):
         """Degraded-read fetch: stop once *need* decodable shares arrived.
 
         The per-fetch :class:`DegradedReadReport` lands in
-        :attr:`last_read_report`; a read decodes with :meth:`_read_decode`
-        and finishes with :meth:`_finish_read`, so corrupted shares get
-        repaired on read.
+        :attr:`last_read_report`; a read's decode regenerates the shares it
+        lists as corrupted, and :meth:`_finish_read` rewrites them.
         """
         shares, report = self.placement_policy.fetch_degraded(
             receipt.placement, need=need
@@ -271,66 +259,26 @@ class ArchivalSystem(abc.ABC):
         self.last_read_report = report
         return shares
 
-    def _rotted(self) -> list[int]:
-        """The shares the last fetch found rotted and no read has repaired."""
-        report = self.last_read_report
-        if report is None or report.shares_repaired:
-            return []
-        return report.repair_candidates
-
-    def _read_decode(
-        self, receipt: StoreReceipt, shares: dict[int, bytes], rotted: list[int]
-    ) -> tuple[bytes, list[Share] | None]:
-        """Decode a read's *shares*, whose fetch found the shares at
-        *rotted* corrupted.  Returns the data and the rotted shares rebuilt
-        from the same quorum, or None: this system repairs by re-encoding."""
-        return self._checked_decode(receipt, shares), None
-
     def _finish_read(
-        self, receipt: StoreReceipt, data: bytes, rebuilt: list[Share] | None
+        self, receipt: StoreReceipt, data: bytes, rebuilt: dict[int, bytes]
     ) -> bytes:
         """Post-decode step of every read: repair-on-read rewrites the
-        shares the fetch found rotted -- the *rebuilt* ones in place, or,
-        where the decode rebuilt none, a fresh encoding of the whole object.
+        *rebuilt* shares, the ones the fetch found rotted, in place.
 
-        A repair that cannot place, or whose put still fails after its
-        retries, is deferred, not raised: the read has already decoded, the
-        shares it did not rewrite and the receipt stay as they were, and
-        the next read of the object tries the repair again."""
-        rotted = self._rotted()
-        if not rotted:
+        A put that still fails after its retries is deferred, not raised:
+        the read has already decoded, the shares it did not rewrite and the
+        receipt stay as they were, and the next read of the object tries
+        the repair again."""
+        if not rebuilt:
             return data
-        if rebuilt is not None:
-            rewritten = self._rewrite_shares(receipt, rebuilt)
-        else:
-            try:
-                self._reencode(receipt, data)
-            except PlacementShortfallError:
-                _metrics.inc("maintenance_deferred_total", op="repair", reason="placement")
-                return data
-            rewritten = len(rotted)
+        rewritten = self._rewrite_shares(receipt, rebuilt)
         if rewritten:
             _metrics.inc("repairs_on_read_total", rewritten)
-        if rewritten < len(rotted):
+        if rewritten < len(rebuilt):
             _metrics.inc("maintenance_deferred_total", op="repair", reason="put")
         else:
             self.last_read_report.shares_repaired = rewritten
         return data
-
-    def _reencode(self, receipt: StoreReceipt, data: bytes) -> int:
-        """Replace *receipt*'s shares with a fresh encoding of *data* under
-        the receipt's own parameters, then seal it again; returns the bytes
-        written.  The receipt's share indices are placed first, so a
-        shortfall raises before anything is drawn or encoded."""
-        placement = self.placement_policy.place(
-            receipt.object_id, sorted(receipt.placement.node_by_share)
-        )
-        payloads, metadata, escrow = self._encode(receipt.object_id, data, receipt.metadata)
-        written = self._replace_shares(receipt, placement, payloads)
-        receipt.metadata.update(metadata)
-        receipt.escrow.update(escrow)
-        self._seal(receipt, data)
-        return written
 
     def retrieve_with_report(
         self, object_id: str
@@ -343,56 +291,54 @@ class ArchivalSystem(abc.ABC):
     # -- encoding hooks ----------------------------------------------------------------
 
     @abc.abstractmethod
-    def _encode(
-        self, object_id: str, data: bytes, like: dict | None
-    ) -> tuple[dict[int, bytes], dict, dict]:
+    def _encode(self, object_id: str, data: bytes) -> tuple[dict[int, bytes], dict, dict]:
         """Encode *data*: ``(payloads by share index, metadata, escrow)``."""
 
     @abc.abstractmethod
-    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> bytes:
-        """Decode the object from a quorum of its shares."""
+    def _decode(
+        self, receipt: StoreReceipt, shares: dict[int, bytes], regenerate: Sequence[int]
+    ) -> tuple[bytes, dict[int, bytes]]:
+        """Decode the object from a quorum of its shares, and rebuild the
+        shares at *regenerate* from that quorum."""
 
     @abc.abstractmethod
     def _quorum(self, receipt: StoreReceipt) -> int | None:
         """Shares a read needs; None fetches every placed share."""
 
     def _seal(self, receipt: StoreReceipt, data: bytes) -> None:
-        """Post-placement step of a store or re-encode; none by default."""
+        """Post-placement step of a store; none by default."""
 
-    def _checked_decode(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> bytes:
+    def _checked_decode(
+        self, receipt: StoreReceipt, shares: dict[int, bytes], regenerate: Sequence[int] = ()
+    ) -> tuple[bytes, dict[int, bytes]]:
         """:meth:`_decode`, once *shares* meet the receipt's quorum."""
-        self._require_quorum(receipt, shares)
-        return self._decode(receipt, shares)
-
-    def _require_quorum(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> None:
         quorum = self._quorum(receipt)
         if quorum is not None and len(shares) < quorum:
             raise DecodingError(
                 f"{receipt.object_id}: {len(shares)} shares held, {quorum} needed"
             )
+        return self._decode(receipt, shares, regenerate)
 
     # -- store / retrieve ----------------------------------------------------------------
 
     def store(self, object_id: str, data: bytes) -> StoreReceipt:
         """Encode and disperse *data*; returns (and records) the receipt."""
-        return self._ingest(object_id, data)
+        self._reject_known(object_id)
+        return self._commit(object_id, data, *self._encode(object_id, data))
 
     def retrieve(self, object_id: str) -> bytes:
-        """Fetch shares up to the quorum and decode the object."""
+        """Fetch shares up to the quorum, decode the object and repair the
+        shares the fetch found rotted."""
         receipt = self.receipt(object_id)
         shares = self._fetch_shares(receipt, need=self._quorum(receipt))
-        data, rebuilt = self._read_decode(receipt, shares, self._rotted())
-        return self._finish_read(receipt, data, rebuilt)
+        rotted = self.last_read_report.repair_candidates
+        return self._finish_read(receipt, *self._checked_decode(receipt, shares, rotted))
 
     def receipt(self, object_id: str) -> StoreReceipt:
         try:
             return self._receipts[object_id]
         except KeyError:
             raise ObjectNotFoundError(f"{self.name}: no object {object_id!r}") from None
-
-    def _ingest(self, object_id: str, data: bytes, like: dict | None = None) -> StoreReceipt:
-        self._reject_known(object_id)
-        return self._commit(object_id, data, *self._encode(object_id, data, like))
 
     def _reject_known(self, object_id: str) -> None:
         # Checked before anything is encoded, drawn or written: a silent
@@ -478,7 +424,7 @@ class ArchivalSystem(abc.ABC):
                 raise DecodingError(f"{object_id}: adversary holds no shares")
             self._require_at_rest_broken(timeline, epoch)
             stolen = self._held_shares(receipt)
-        return self._checked_decode(receipt, stolen)
+        return self._checked_decode(receipt, stolen)[0]
 
     def at_rest_breakable(self, timeline: BreakTimeline, epoch: int) -> bool:
         """Are all primitives the at-rest encoding relies on broken?"""

@@ -37,7 +37,7 @@ class CloudProviderArchive(ArchivalSystem):
         #: Provider-side key management service: object id -> (key, nonce).
         self._kms: dict[str, tuple[bytes, bytes]] = {}
 
-    def _encode(self, object_id, data, like):
+    def _encode(self, object_id, data):
         key = self.rng.bytes(32)
         nonce = self.rng.bytes(12)
         ciphertext = self.cipher.encrypt(key, nonce, data)
@@ -47,17 +47,20 @@ class CloudProviderArchive(ArchivalSystem):
         return payloads, {"replication": self.replication}, {"key": key, "nonce": nonce}
 
     def _seal(self, receipt: StoreReceipt, data: bytes) -> None:
-        # The KMS takes the new key only once its ciphertext is placed: a
-        # repair that fails to place keeps the surviving replicas readable.
+        # The KMS takes the key only once its ciphertext is placed: a store
+        # that fails to place leaves no key behind.
         self._kms[receipt.object_id] = (receipt.escrow["key"], receipt.escrow["nonce"])
 
     def _quorum(self, receipt: StoreReceipt) -> int:
         # Degraded read: the first intact replica is enough.
         return 1
 
-    def _decode(self, receipt: StoreReceipt, replicas: dict[int, bytes]) -> bytes:
+    def _decode(self, receipt: StoreReceipt, replicas: dict[int, bytes], regenerate):
+        # Every replica holds the same ciphertext, so the one decrypted is
+        # each rotted replica, rebuilt.
         key, nonce = self._kms[receipt.object_id]
-        return self.cipher.decrypt(key, nonce, next(iter(replicas.values())))
+        replica = next(iter(replicas.values()))
+        return self.cipher.decrypt(key, nonce, replica), dict.fromkeys(regenerate, replica)
 
     def attempt_recovery(
         self,

@@ -82,7 +82,7 @@ class ElsaStyleArchive(ArchivalSystem):
 
     # -- data plane -------------------------------------------------------------------
 
-    def _encode(self, object_id, data, like):
+    def _encode(self, object_id, data):
         key = self.rng.bytes(32)
         nonce = self.rng.bytes(12)
         ciphertext = self.cipher.encrypt(key, nonce, data)
@@ -98,24 +98,29 @@ class ElsaStyleArchive(ArchivalSystem):
         return payloads, metadata, {"key": key, "key_groups": groups}
 
     def _seal(self, receipt: StoreReceipt, data: bytes) -> None:
-        # The committee takes the new key only once its ciphertext is
-        # placed: a repair that fails to place keeps the old shards readable.
+        # The committee takes the key only once its ciphertext is placed:
+        # a store that fails to place leaves no committee behind.
         self._key_groups[receipt.object_id] = receipt.escrow.pop("key_groups")
 
     def _quorum(self, receipt: StoreReceipt) -> int:
         # Degraded read: any k erasure shards decode the ciphertext.
         return receipt.metadata["k"]
 
-    def _decode(self, receipt: StoreReceipt, shards: dict[int, bytes]) -> bytes:
-        ciphertext = self._ciphertext(receipt, shards)
+    def _decode(self, receipt: StoreReceipt, shards: dict[int, bytes], regenerate):
+        # The ciphertext's erasure decode rebuilds the rotted shards; the key
+        # committee is not touched.
+        ciphertext, rebuilt = self._ciphertext(receipt, shards, regenerate)
         nonce = bytes.fromhex(receipt.metadata["nonce"])
-        return self.cipher.decrypt(self._recover_key(receipt.object_id), nonce, ciphertext)
+        key = self._recover_key(receipt.object_id)
+        return self.cipher.decrypt(key, nonce, ciphertext), rebuilt
 
-    def _ciphertext(self, receipt: StoreReceipt, shards: dict[int, bytes]) -> bytes:
-        return self.code.decode(
+    def _ciphertext(self, receipt: StoreReceipt, shards: dict[int, bytes], regenerate=()):
+        ciphertext, rebuilt = self.code.decode_array(
             [Shard(index=i, data=p) for i, p in shards.items()],
             receipt.metadata["ciphertext_length"],
+            regenerate=regenerate,
         )
+        return ciphertext.tobytes(), {shard.index: shard.data for shard in rebuilt}
 
     # -- adversary --------------------------------------------------------------------
 
@@ -141,7 +146,7 @@ class ElsaStyleArchive(ArchivalSystem):
                 f"{object_id}: adversary needs {self.code.k} shards "
                 f"for the ciphertext"
             )
-        ciphertext = self._ciphertext(receipt, stolen)
+        ciphertext, _ = self._ciphertext(receipt, stolen)
         nonce = bytes.fromhex(receipt.metadata["nonce"])
 
         if stolen_key_shares and len(stolen_key_shares) >= self.committee_t:

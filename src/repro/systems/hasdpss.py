@@ -30,7 +30,7 @@ from repro.errors import IntegrityError, ParameterError
 from repro.secretsharing.redistribution import redistribute
 from repro.secretsharing.shamir import ShamirSecretSharing
 from repro.secretsharing.verifiable import ProactiveVSS
-from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, split_payloads
+from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, share_payloads
 from repro.systems.ledger import LedgerEntry, SimulatedLedger
 
 
@@ -81,9 +81,9 @@ class HasDpss(ArchivalSystem):
 
     # -- store / retrieve ------------------------------------------------------------------
 
-    def _encode(self, object_id, data, like):
+    def _encode(self, object_id, data):
         split = self.scheme.split(data, self.rng)
-        return split_payloads(split), {"n": self.scheme.n, "t": self.scheme.t}, {}
+        return share_payloads(split.shares), {"n": self.scheme.n, "t": self.scheme.t}, {}
 
     def _seal(self, receipt: StoreReceipt, data: bytes) -> None:
         # Authentication tag under the object's hierarchical key, recorded
@@ -108,13 +108,15 @@ class HasDpss(ArchivalSystem):
         # Degraded read: any t committee shares reconstruct.
         return receipt.metadata["t"]
 
-    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> bytes:
+    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes], regenerate):
         scheme = ShamirSecretSharing(receipt.metadata["n"], receipt.metadata["t"])
-        data = scheme.reconstruct(as_shares("shamir", shares))[: receipt.original_length]
+        data, rebuilt = scheme.reconstruct(as_shares("shamir", shares), regenerate=regenerate)
+        data = data[: receipt.original_length]
+        # The tag is checked before any share rebuilt from this quorum goes out.
         expected = hmac_sha256(self.derive_path_key(receipt.object_id), data)
         if expected.hex() != receipt.metadata["tag"]:
             raise IntegrityError(f"{receipt.object_id}: authentication tag mismatch")
-        return data
+        return data, share_payloads(rebuilt)
 
     # -- dynamism ------------------------------------------------------------------------------
 
@@ -136,7 +138,7 @@ class HasDpss(ArchivalSystem):
                 receipt.original_length,
                 self.rng,
             )
-            self._replace_shares(receipt, placement, split_payloads(new_split))
+            self._replace_shares(receipt, placement, share_payloads(new_split.shares))
             receipt.metadata.update({"n": new_n, "t": new_t})
         # Key plane: fresh proactive round plus a new deal record.
         self.key_plane.renew(self.rng)

@@ -27,7 +27,7 @@ from repro.integrity.timestamp import (
     TimestampChain,
 )
 from repro.secretsharing.shamir import ShamirSecretSharing
-from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, split_payloads
+from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, share_payloads
 
 
 class Lincos(ArchivalSystem):
@@ -59,9 +59,9 @@ class Lincos(ArchivalSystem):
             self.key_generation_seconds += needed
         super()._send_share(node, object_id, index, payload)
 
-    def _encode(self, object_id, data, like):
+    def _encode(self, object_id, data):
         split = self.scheme.split(data, self.rng)
-        return split_payloads(split), {"n": self.scheme.n, "t": self.scheme.t}, {}
+        return share_payloads(split.shares), {"n": self.scheme.n, "t": self.scheme.t}, {}
 
     def _seal(self, receipt: StoreReceipt, data: bytes) -> None:
         # Timestamp the object under a perfectly hiding commitment.
@@ -81,8 +81,10 @@ class Lincos(ArchivalSystem):
         # polynomial, fewer reveal nothing.
         return receipt.metadata["t"]
 
-    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> bytes:
-        return self.scheme.reconstruct(as_shares("shamir", shares))[: receipt.original_length]
+    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes], regenerate):
+        scheme = ShamirSecretSharing(receipt.metadata["n"], receipt.metadata["t"])
+        data, rebuilt = scheme.reconstruct(as_shares("shamir", shares), regenerate=regenerate)
+        return data[: receipt.original_length], share_payloads(rebuilt)
 
     # -- integrity service --------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from repro.errors import ParameterError
 from repro.gmath.reedsolomon import ReedSolomonCode, Shard
 from repro.secretsharing.shamir import ShamirSecretSharing
 from repro.security import SecurityNotion
-from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, split_payloads
+from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, share_payloads
 
 
 class PasisPolicy(enum.Enum):
@@ -94,13 +94,11 @@ class Pasis(ArchivalSystem):
         data: bytes,
         parameters: PasisParameters | None = None,
     ) -> StoreReceipt:
-        params = parameters or self.default_parameters
-        return self._ingest(object_id, data, like=params.metadata())
+        self._reject_known(object_id)
+        return self._commit(object_id, data, *self._encode(object_id, data, parameters))
 
-    def _encode(self, object_id, data, like):
-        # *like* is always set: store passes the chosen parameters, and a
-        # repair keeps the object's own policy, not the default one.
-        params = PasisParameters.from_metadata(like)
+    def _encode(self, object_id, data, parameters: PasisParameters | None = None):
+        params = parameters or self.default_parameters
         if params.policy is PasisPolicy.REPLICATION:
             if params.n < 1:
                 raise ParameterError("replication needs n >= 1")
@@ -110,7 +108,7 @@ class Pasis(ArchivalSystem):
             payloads = {s.index: s.data for s in code.encode(data)}
         else:
             scheme = ShamirSecretSharing(params.n, params.threshold)
-            payloads = split_payloads(scheme.split(data, self.rng))
+            payloads = share_payloads(scheme.split(data, self.rng).shares)
         return payloads, params.metadata(), {}
 
     def _quorum(self, receipt: StoreReceipt) -> int:
@@ -119,13 +117,18 @@ class Pasis(ArchivalSystem):
         # confidentiality); Shamir needs it -- and never breaks.
         return receipt.metadata["threshold"]
 
-    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> bytes:
+    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes], regenerate):
+        # Each policy rebuilds the rotted shares from the quorum it decoded:
+        # the replica itself, or the same erasure or Shamir interpolation.
         params = PasisParameters.from_metadata(receipt.metadata)
         if params.policy is PasisPolicy.REPLICATION:
-            return next(iter(shares.values()))[: receipt.original_length]
+            replica = next(iter(shares.values()))
+            return replica[: receipt.original_length], dict.fromkeys(regenerate, replica)
         if params.policy is PasisPolicy.ERASURE:
             code = ReedSolomonCode(params.n, params.threshold)
             shards = [Shard(index=i, data=p) for i, p in shares.items()]
-            return code.decode(shards, receipt.original_length)
+            data, rebuilt = code.decode_array(shards, receipt.original_length, regenerate)
+            return data.tobytes(), {shard.index: shard.data for shard in rebuilt}
         scheme = ShamirSecretSharing(params.n, params.threshold)
-        return scheme.reconstruct(as_shares("shamir", shares))[: receipt.original_length]
+        data, rebuilt = scheme.reconstruct(as_shares("shamir", shares), regenerate=regenerate)
+        return data[: receipt.original_length], share_payloads(rebuilt)

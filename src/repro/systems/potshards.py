@@ -25,12 +25,14 @@ Faithful structural features:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import DecodingError, ParameterError
 from repro.secretsharing.additive import AdditiveSecretSharing
 from repro.secretsharing.base import Share
 from repro.secretsharing.shamir import ShamirSecretSharing
 from repro.storage.placement import share_key
-from repro.systems.base import ArchivalSystem, StoreReceipt, split_payloads
+from repro.systems.base import ArchivalSystem, StoreReceipt, share_payloads
 
 #: Width of the approximate-pointer window, in shard-id slots.  A window
 #: of w means an adversary seeing one shard learns only that siblings are
@@ -71,9 +73,11 @@ class Potshards(ArchivalSystem):
             for point in self.availability.points
         }
 
-    def _encode(self, object_id, data, like):
+    def _encode(self, object_id, data):
         shards = {
-            fragment.index: split_payloads(self.availability.split(fragment.payload, self.rng))
+            fragment.index: share_payloads(
+                self.availability.split(fragment.payload, self.rng).shares
+            )
             for fragment in self.secrecy.split(data, self.rng).shares
         }
         payloads = {
@@ -91,10 +95,10 @@ class Potshards(ArchivalSystem):
         # Two-level assembly has no single quorum; try every placed shard.
         return None
 
-    def _decode(self, receipt: StoreReceipt, shards: dict[int, bytes]) -> bytes:
+    def _decode(self, receipt: StoreReceipt, shards: dict[int, bytes], regenerate):
         # The adversary path is the same pure share counting, never gated
         # on the break timeline: a keyless design has nothing to break.
-        return self._assemble(shards, receipt.original_length)
+        return self._assemble(receipt.object_id, shards, receipt.original_length, regenerate)
 
     # -- index-loss disaster recovery ----------------------------------------------------
 
@@ -114,7 +118,7 @@ class Potshards(ArchivalSystem):
             for stored_id in node.object_ids():
                 if stored_id in siblings:
                     gathered[siblings[stored_id]] = node.get(stored_id)
-        return self._assemble(gathered, original_length)
+        return self._assemble(object_id, gathered, original_length, ())[0]
 
     # -- internals ----------------------------------------------------------------------------
 
@@ -140,7 +144,11 @@ class Potshards(ArchivalSystem):
             raise DecodingError("malformed POTSHARDS shard") from None
         return name.decode(), window_base, payload
 
-    def _assemble(self, shards: dict[int, bytes], original_length: int) -> bytes:
+    def _assemble(
+        self, object_id: str, shards: dict[int, bytes], length: int, regenerate: Sequence[int]
+    ) -> tuple[bytes, dict[int, bytes]]:
+        """Both levels' decode; each fragment's Shamir interpolation also
+        rebuilds its shards at *regenerate*, which get their pointer back."""
         by_fragment: dict[int, list[Share]] = {}
         for index, payload in shards.items():
             fragment, shamir_index = _unflatten(index)
@@ -149,6 +157,7 @@ class Potshards(ArchivalSystem):
                 Share(scheme="shamir", index=shamir_index, payload=body)
             )
         fragment_shares = []
+        rebuilt: dict[int, bytes] = {}
         for fragment in range(1, self.xor_ways + 1):
             available = by_fragment.get(fragment, [])
             if len(available) < self.availability.t:
@@ -156,11 +165,10 @@ class Potshards(ArchivalSystem):
                     f"fragment {fragment}: {len(available)} shards held, "
                     f"{self.availability.t} required"
                 )
-            fragment_shares.append(
-                Share(
-                    scheme="additive",
-                    index=fragment,
-                    payload=self.availability.reconstruct(available),
-                )
-            )
-        return self.secrecy.reconstruct(fragment_shares)[:original_length]
+            points = [point for f, point in map(_unflatten, regenerate) if f == fragment]
+            payload, shares = self.availability.reconstruct(available, regenerate=points)
+            fragment_shares.append(Share(scheme="additive", index=fragment, payload=payload))
+            for share in shares:
+                index = _shard_index(fragment, share.index)
+                rebuilt[index] = self._with_pointer(object_id, index, share.payload)
+        return self.secrecy.reconstruct(fragment_shares)[:length], rebuilt

@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.errors import ParameterError
 from repro.secretsharing.redistribution import RedistributionReport, redistribute
 from repro.secretsharing.shamir import ShamirSecretSharing
-from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, split_payloads
+from repro.systems.base import ArchivalSystem, StoreReceipt, as_shares, share_payloads
 
 
 class VsrArchive(ArchivalSystem):
@@ -42,21 +42,22 @@ class VsrArchive(ArchivalSystem):
         #: Epoch tag carried by every live share set, bumped per refresh.
         self.share_generation = 0
 
-    def _encode(self, object_id, data, like):
+    def _encode(self, object_id, data):
         metadata = {
             "n": self.scheme.n,
             "t": self.scheme.t,
             "generation": self.share_generation,
         }
-        return split_payloads(self.scheme.split(data, self.rng)), metadata, {}
+        return share_payloads(self.scheme.split(data, self.rng).shares), metadata, {}
 
     def _quorum(self, receipt: StoreReceipt) -> int:
         # Degraded read: any t shares of the current generation suffice.
         return receipt.metadata["t"]
 
-    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes]) -> bytes:
+    def _decode(self, receipt: StoreReceipt, shares: dict[int, bytes], regenerate):
         scheme = self._scheme_for(receipt)
-        return scheme.reconstruct(as_shares("shamir", shares))[: receipt.original_length]
+        data, rebuilt = scheme.reconstruct(as_shares("shamir", shares), regenerate=regenerate)
+        return data[: receipt.original_length], share_payloads(rebuilt)
 
     def _scheme_for(self, receipt: StoreReceipt) -> ShamirSecretSharing:
         return ShamirSecretSharing(receipt.metadata["n"], receipt.metadata["t"])
@@ -84,7 +85,7 @@ class VsrArchive(ArchivalSystem):
                 self.rng,
             )
             reports.append(report)
-            self._replace_shares(receipt, placement, split_payloads(new_split))
+            self._replace_shares(receipt, placement, share_payloads(new_split.shares))
             receipt.metadata.update(
                 {"n": new_n, "t": new_t, "generation": self.share_generation + 1}
             )

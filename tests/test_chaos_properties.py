@@ -23,12 +23,14 @@ from repro.errors import DecodingError, IntegrityError, StorageError
 from repro.obs import use_registry
 from repro.storage.faults import (
     FaultPlan,
+    FaultRule,
     flaky_first_reads,
     injected_latency,
     silent_bitrot,
     transient_outage,
 )
 from repro.storage.node import make_node_fleet
+from repro.storage.placement import share_key
 from repro.storage.tiering import (
     TIER_COLD,
     TIER_HOT,
@@ -37,6 +39,19 @@ from repro.storage.tiering import (
     TierMigrator,
     make_tiered_fleet,
 )
+from repro.systems import (
+    AontRsArchive,
+    ArchiveSafeLT,
+    CloudProviderArchive,
+    ElsaStyleArchive,
+    HasDpss,
+    Lincos,
+    Pasis,
+    PasisPolicy,
+    Potshards,
+    VsrArchive,
+)
+from repro.systems.pasis import PasisParameters
 
 pytestmark = pytest.mark.chaos
 
@@ -238,3 +253,96 @@ def test_chaos_scenario_matrix_is_deterministic(seed):
     )
     assert first.render() == second.render()
     assert first.plaintext_ok and second.plaintext_ok
+
+
+# -- the other nine archival systems ---------------------------------------------------
+
+#: name -> (builder(nodes, rng), fleet size): a spare node or two beyond
+#: the shares of one object.
+OTHER_SYSTEMS = {
+    "aontrs": (lambda nodes, rng: AontRsArchive(nodes, rng, n=6, k=4), 8),
+    "archivesafelt": (lambda nodes, rng: ArchiveSafeLT(nodes, rng, replication=3), 5),
+    "cloud": (lambda nodes, rng: CloudProviderArchive(nodes, rng, replication=3), 5),
+    "elsa": (ElsaStyleArchive, 8),
+    "hasdpss": (HasDpss, 7),
+    "lincos": (Lincos, 7),
+    "pasis": (Pasis, 8),
+    "potshards": (Potshards, 10),
+    "vsr": (VsrArchive, 7),
+}
+
+PASIS_PARAMETERS = (
+    PasisParameters(PasisPolicy.REPLICATION, 3, 1),
+    PasisParameters(PasisPolicy.ERASURE, 6, 4),
+    PasisParameters(PasisPolicy.SHAMIR, 5, 3),
+)
+
+NUM_OTHER_CASES = 180
+
+
+def _stored_shares(system) -> dict[tuple[str, str], bytes]:
+    return {
+        (node.node_id, key): node.peek(key)
+        for node in system.nodes
+        for key in node.object_ids()
+    }
+
+
+@pytest.mark.parametrize("seed", range(NUM_OTHER_CASES))
+def test_other_systems_repair_rotted_shares_to_their_stored_bytes(seed):
+    """Every system but SecureArchive, under bitrot, flaky reads and one
+    node that refuses puts: a read returns the exact bytes or fails typed,
+    a share a read repaired holds exactly its bytes from the store, and no
+    share is lost or orphaned.  The refusing node holds at most one share
+    of an object, which every system's spare shares cover."""
+    name = sorted(OTHER_SYSTEMS)[seed % len(OTHER_SYSTEMS)]
+    build, fleet_size = OTHER_SYSTEMS[name]
+    rng = DeterministicRandom(("other-chaos", seed).__repr__())
+    plan = FaultPlan(seed=rng.randrange(2**31))
+    system = build(plan.wrap_fleet(make_node_fleet(fleet_size)), DeterministicRandom(seed))
+    payloads = {}
+    for k in range(3):
+        object_id = f"doc-{k}"
+        payloads[object_id] = rng.bytes(1 + rng.randrange(300))
+        if isinstance(system, Pasis):
+            parameters = PASIS_PARAMETERS[rng.randrange(len(PASIS_PARAMETERS))]
+            system.store(object_id, payloads[object_id], parameters=parameters)
+        else:
+            system.store(object_id, payloads[object_id])
+    stored = _stored_shares(system)
+
+    node_ids = [node.node_id for node in system.nodes]
+    for node_id in node_ids:
+        kind = rng.randrange(4)
+        if kind == 0:
+            plan.add_rule(silent_bitrot(node_id))
+        elif kind == 1:
+            plan.add_rule(flaky_first_reads(node_id, fail_reads=1 + rng.randrange(2)))
+    plan.add_rule(FaultRule(kind="outage", op="put", node_id=node_ids[rng.randrange(fleet_size)]))
+
+    def read_everything():
+        for object_id, payload in sorted(payloads.items()):
+            try:
+                data = system.retrieve(object_id)
+            except TYPED_FAILURES:
+                continue
+            assert data == payload, (
+                f"silent corruption in {name}! reproduce with seed={seed} ({object_id})"
+            )
+        # A share is still rotted (None) or holds its stored bytes: a repair
+        # rewrote exactly what the store wrote.
+        for (node_id, key), clean in stored.items():
+            held = system.placement_policy.node(node_id).peek(key)
+            assert held is None or held == clean, (
+                f"{name} repaired {key} on {node_id} to other bytes; seed={seed}"
+            )
+
+    read_everything()
+    plan.rules.clear()
+    read_everything()
+    placed = {
+        (node_id, share_key(receipt.object_id, index))
+        for receipt in system._receipts.values()
+        for index, node_id in receipt.placement.node_by_share.items()
+    }
+    assert set(_stored_shares(system)) == placed, f"{name} lost or orphaned a share; seed={seed}"

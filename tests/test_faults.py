@@ -450,7 +450,7 @@ class TestRepairOnRead:
         assert report.shares_failed[first_index] == "corrupted"
         counters = registry.snapshot()["counters"]
         assert counters["repairs_on_read_total"] == 1
-        # The placement was replaced; a second read is clean end to end.
+        # The share was rewritten in place; a second read is clean end to end.
         clean, clean_report = archive.retrieve_with_report("doc")
         assert clean == data and not clean_report.degraded
 
@@ -483,53 +483,64 @@ class TestRepairOnRead:
 
 
 class TestFailedRepairKeepsOldKeys:
-    """A repair that cannot place its fresh encoding must leave the object's
-    keys alone: the shares it did not reach were written under them."""
+    """A repair whose put fails must leave the object's keys alone: the
+    shares it did not reach, and the one it rewrites once the node takes
+    writes again, decode under them."""
 
     @pytest.mark.parametrize(
-        "build, offline",
+        "build, keys",
         [
             (
-                lambda rng: CloudProviderArchive(
-                    make_node_fleet(3, providers=["aws"]), rng, replication=3
+                lambda wrap, rng: CloudProviderArchive(
+                    wrap(make_node_fleet(3, providers=["aws"])), rng, replication=3
                 ),
-                1,
+                "_kms",
             ),
             (
-                lambda rng: ArchiveSafeLT(
-                    make_node_fleet(3, providers=["aws"]), rng, replication=3
+                lambda wrap, rng: ArchiveSafeLT(
+                    wrap(make_node_fleet(3, providers=["aws"])), rng, replication=3
                 ),
-                1,
+                "_key_history",
             ),
-            (lambda rng: ElsaStyleArchive(make_node_fleet(5), rng, n=5, k=2), 2),
+            (
+                lambda wrap, rng: ElsaStyleArchive(wrap(make_node_fleet(5)), rng, n=5, k=2),
+                "_key_groups",
+            ),
         ],
         ids=["cloud", "archivesafelt", "elsa"],
     )
-    def test_shares_the_repair_missed_still_decode(self, registry, build, offline):
-        system = build(DeterministicRandom(5))
+    def test_shares_the_repair_missed_still_decode(self, registry, build, keys):
+        plan = FaultPlan(seed=5)
+        system = build(plan.wrap_fleet, DeterministicRandom(5))
         data = DeterministicRandom(b"failed-repair").bytes(500)
         system.store("doc", data)
         node_by_share = system.receipt("doc").placement.node_by_share
-        indices = sorted(node_by_share)
-        system.placement_policy.node(node_by_share[indices[0]]).corrupt_object(
-            share_key("doc", indices[0]), b"rotted"
-        )
-        down = [system.placement_policy.node(node_by_share[i]) for i in indices[-offline:]]
-        for node in down:
-            node.set_online(False)
-        # The read decodes; its repair then cannot place a full fresh set
-        # on the nodes that are left, so it is deferred and the read returns.
+        rotted = min(node_by_share)
+        holder = system.placement_policy.node(node_by_share[rotted])
+        clean = holder.peek(share_key("doc", rotted))
+        holder.corrupt_object(share_key("doc", rotted), b"rotted")
+        outage = FaultRule(kind="outage", op="put", node_id=holder.node_id)
+        plan.add_rule(outage)
+        object_keys = getattr(system, keys)["doc"]
+        # The read decodes; its repair's put to the rotted share's holder
+        # fails, so the repair is deferred and the read returns.
         assert system.retrieve("doc") == data
         counters = registry.snapshot()["counters"]
-        assert counters["maintenance_deferred_total{op=repair,reason=placement}"] == 1
-        for node in down:
-            node.set_online(True)
-        # The healed nodes hold shares from before the failed repair.
+        assert counters["maintenance_deferred_total{op=repair,reason=put}"] == 1
+        assert getattr(system, keys)["doc"] is object_keys
+        plan.rules.remove(outage)
+        # Once the node takes writes, the next read heals the share with the
+        # bytes it held before the rot, under the same keys.
         assert system.retrieve("doc") == data
+        assert holder.peek(share_key("doc", rotted)) == clean
+        assert getattr(system, keys)["doc"] is object_keys
 
     def test_deferred_repair_encodes_nothing(self, registry):
+        plan = FaultPlan(seed=6)
         system = CloudProviderArchive(
-            make_node_fleet(3, providers=["aws"]), DeterministicRandom(6), replication=3
+            plan.wrap_fleet(make_node_fleet(3, providers=["aws"])),
+            DeterministicRandom(6),
+            replication=3,
         )
         data = DeterministicRandom(b"deferred-repair").bytes(500)
         system.store("doc", data)
@@ -537,14 +548,14 @@ class TestFailedRepairKeepsOldKeys:
         system.placement_policy.node(node_by_share[0]).corrupt_object(
             share_key("doc", 0), b"rotted"
         )
-        system.placement_policy.node(node_by_share[2]).set_online(False)
+        plan.add_rule(FaultRule(kind="outage", op="put", node_id=node_by_share[0]))
         cipher_bytes = "crypto_cipher_bytes_total{cipher=aes-ctr}"
         before = registry.snapshot()["counters"][cipher_bytes]
         for _ in range(3):
             assert system.retrieve("doc") == data
         counters = registry.snapshot()["counters"]
-        assert counters["maintenance_deferred_total{op=repair,reason=placement}"] == 3
-        # The placement is chosen before the encoding, so each deferred
+        assert counters["maintenance_deferred_total{op=repair,reason=put}"] == 3
+        # A repair rebuilds the replica the read decoded, so each deferred
         # repair runs no cipher: the only AES-CTR bytes are the reads' own
         # decryptions.
         assert counters[cipher_bytes] == before + 3 * len(data)

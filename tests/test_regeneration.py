@@ -1,12 +1,13 @@
 """Repair-on-read by regeneration: the rotted shares, rebuilt in place.
 
-Every ``SecureArchive`` policy and ``AontRsArchive`` store shares that are
-values of one GF(256) polynomial, so the quorum a read decoded from fixes
-every other share byte for byte, and the decode's own interpolation
-rebuilds them.  These tests rot each share a read fetches (one at a time,
-and two at once where the spare shares allow) and pin that the repair
-rewrites exactly those shares, with their original bytes, where they
-already were -- in the read's one matmul -- and changes nothing else.
+On every archival system the quorum a read decoded fixes every other share
+byte for byte: a replica is its own copy, and Shamir, packed, LRSS and
+Reed-Solomon shares are values of one GF(256) polynomial, so the decode's
+own interpolation rebuilds them.  These tests rot each share a healthy
+read fetches (one at a time, and two at once where the spare shares
+allow) and pin that the repair rewrites exactly those shares, with their
+original bytes, where they already were -- in the read's own decode --
+and changes nothing else: no randomness, placement, receipt, key or seal.
 Maintenance reads (renewal, migration) are not client reads: they count
 no retrieve and repair nothing the renewal replaces anyway.
 """
@@ -14,6 +15,7 @@ no retrieve and repair nothing the renewal replaces anyway.
 import copy
 import dataclasses
 import itertools
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.core.policy import (
     ConfidentialityTarget,
 )
 from repro.crypto.drbg import DeterministicRandom
+from repro.crypto.registry import BreakTimeline
 from repro.errors import ParameterError
 from repro.gmath.reedsolomon import ReedSolomonCode
 from repro.obs import use_registry
@@ -36,7 +39,19 @@ from repro.secretsharing.shamir import ShamirSecretSharing
 from repro.storage.faults import FaultPlan, FaultRule
 from repro.storage.node import make_node_fleet
 from repro.storage.placement import share_key
+from repro.systems import (
+    ArchiveSafeLT,
+    CloudProviderArchive,
+    ElsaStyleArchive,
+    HasDpss,
+    Lincos,
+    Pasis,
+    PasisPolicy,
+    Potshards,
+    VsrArchive,
+)
 from repro.systems.aontrs_system import AontRsArchive
+from repro.systems.pasis import PasisParameters
 
 LRSS_POLICY = ArchivePolicy(
     target=ConfidentialityTarget.LONG_TERM_LEAKAGE_HARDENED, n=5, t=3
@@ -47,36 +62,69 @@ class _Archive(SecureArchive):
     SIGNER_HEIGHT = 4
 
 
-#: name -> (builder(nodes, rng), share count n, decode quorum)
+class System(NamedTuple):
+    build: Callable  # (nodes, rng) -> system
+    shares: int  # shares an object is stored as
+    quorum: int | None  # shares a healthy read fetches (None: every one)
+    matmuls: int  # GF(256) matmuls of a repaired read
+    after_store: Callable | None = None  # maintenance before the rot
+
+
+def _pasis(policy, n, threshold):
+    return lambda nodes, rng: Pasis(
+        nodes, rng, default_parameters=PasisParameters(policy, n, threshold)
+    )
+
+
+def _wrap(system):
+    timeline = BreakTimeline()
+    timeline.schedule_break("aes-256-ctr", 1)
+    system.respond_to_break(timeline, epoch=1)
+
+
 SYSTEMS = {
-    "century": (lambda nodes, rng: _Archive(CENTURY_SAFE, nodes, rng), 5, 3),
-    "economy": (lambda nodes, rng: _Archive(CENTURY_SAFE_ECONOMY, nodes, rng), 7, 6),
-    "computational": (lambda nodes, rng: _Archive(PRACTICAL_COMPUTATIONAL, nodes, rng), 6, 4),
-    "lrss": (lambda nodes, rng: _Archive(LRSS_POLICY, nodes, rng), 5, 3),
-    "aontrs": (lambda nodes, rng: AontRsArchive(nodes, rng, n=6, k=4), 6, 4),
+    "century": System(lambda nodes, rng: _Archive(CENTURY_SAFE, nodes, rng), 5, 3, 1),
+    "economy": System(lambda nodes, rng: _Archive(CENTURY_SAFE_ECONOMY, nodes, rng), 7, 6, 1),
+    "computational": System(
+        lambda nodes, rng: _Archive(PRACTICAL_COMPUTATIONAL, nodes, rng), 6, 4, 1
+    ),
+    "lrss": System(lambda nodes, rng: _Archive(LRSS_POLICY, nodes, rng), 5, 3, 1),
+    "aontrs": System(lambda nodes, rng: AontRsArchive(nodes, rng, n=6, k=4), 6, 4, 1),
+    "cloud": System(lambda nodes, rng: CloudProviderArchive(nodes, rng, replication=3), 3, 1, 0),
+    "archivesafelt": System(
+        lambda nodes, rng: ArchiveSafeLT(nodes, rng, replication=3), 3, 1, 0, after_store=_wrap
+    ),
+    "lincos": System(Lincos, 5, 3, 1),
+    "vsr": System(VsrArchive, 6, 4, 1, after_store=lambda s: s.redistribute_all(6, 4)),
+    "hasdpss": System(HasDpss, 5, 3, 1),
+    "elsa": System(ElsaStyleArchive, 6, 4, 1),
+    "pasis-replication": System(_pasis(PasisPolicy.REPLICATION, 3, 1), 3, 1, 0),
+    "pasis-erasure": System(_pasis(PasisPolicy.ERASURE, 6, 4), 6, 4, 1),
+    "pasis-shamir": System(_pasis(PasisPolicy.SHAMIR, 5, 3), 5, 3, 1),
+    # Two XOR fragments, each a (4, 3) Shamir group: one matmul per group.
+    "potshards": System(Potshards, 8, None, 2),
 }
 
-
-def _rot_cases():
-    for name, (_, n, quorum) in SYSTEMS.items():
-        # AONT-RS shards count from 0, the polynomial schemes' shares from 1.
-        first = 0 if name in ("computational", "aontrs") else 1
-        fetched = range(first, first + quorum)  # a healthy read's shares
-        for index in fetched:
-            yield pytest.param(name, (index,), id=f"{name}-{index}")
-        if n - quorum >= 2:
-            for pair in itertools.combinations(fetched, 2):
-                yield pytest.param(name, pair, id=f"{name}-{pair[0]}+{pair[1]}")
+#: Where each system keeps an object's client-side keys.
+KEY_STORES = ("_kms", "_key_history", "_key_groups")
 
 
 def _build(name, fleet=None):
-    build, n, _ = SYSTEMS[name]
-    nodes = fleet if fleet is not None else make_node_fleet(n + 1)
-    system = build(nodes, DeterministicRandom(f"regenerate/{name}"))
+    case = SYSTEMS[name]
+    nodes = fleet if fleet is not None else make_node_fleet(case.shares + 1)
+    system = case.build(nodes, DeterministicRandom(f"regenerate/{name}"))
     system.record_transcript()
     data = DeterministicRandom(b"regenerate-data").bytes(999)
     system.store("doc", data)
+    if case.after_store is not None:
+        case.after_store(system)
     return system, data
+
+
+def _fetched(system):
+    """The share indices a healthy read of "doc" fetches, in order."""
+    receipt = system.receipt("doc")
+    return sorted(system._fetch_shares(receipt, need=system._quorum(receipt)))
 
 
 def _stored(system):
@@ -85,6 +133,21 @@ def _stored(system):
         for node in system.nodes
         for key in node.object_ids()
     }
+
+
+def _keys(system):
+    """Each key store's entry for "doc", with a copy of its contents."""
+    entries = {}
+    for store in KEY_STORES:
+        if hasattr(system, store):
+            entry = getattr(system, store)["doc"]
+            entries[store] = (entry, copy.copy(entry))
+    return entries
+
+
+def _seals(system):
+    """What a seal would grow: the timestamp chain and the ledger."""
+    return len(getattr(system, "chain", ())), getattr(getattr(system, "ledger", None), "height", 0)
 
 
 def _rot(system, indices):
@@ -98,11 +161,33 @@ def _rot(system, indices):
     return clean
 
 
+def _rot_cases():
+    for name, case in SYSTEMS.items():
+        # Indices from a healthy read: systems count from 0, 1 or 101.
+        fetched = _fetched(_build(name)[0])
+        for index in fetched:
+            yield pytest.param(name, (index,), id=f"{name}-{index}")
+        if name == "potshards":
+            # One spare shard per XOR fragment, whose groups the fetch reads
+            # in turn: rot one shard in each.
+            half = len(fetched) // 2
+            pairs = itertools.product(fetched[:half], fetched[half:])
+        elif case.shares - case.quorum >= 2:
+            pairs = itertools.combinations(fetched, 2)
+        else:
+            pairs = ()
+        for pair in pairs:
+            yield pytest.param(name, pair, id=f"{name}-{pair[0]}+{pair[1]}")
+
+
 @pytest.mark.parametrize("name, rotted", _rot_cases())
 def test_read_regenerates_exactly_the_rotted_shares(name, rotted):
     system, data = _build(name)
+    assert set(rotted) <= set(_fetched(system))
     receipt = system.receipt("doc")
     placement, metadata = receipt.placement, copy.deepcopy(receipt.metadata)
+    escrow = dict(receipt.escrow)
+    keys, seals = _keys(system), _seals(system)
     clean = _rot(system, rotted)
     before = _stored(system)
     sent = len(system.transcript)
@@ -115,8 +200,8 @@ def test_read_regenerates_exactly_the_rotted_shares(name, rotted):
         assert report.shares_repaired == len(rotted)
         counters = registry.snapshot()["counters"]
         assert counters["repairs_on_read_total"] == len(rotted)
-        # The decode and the regeneration are one interpolation.
-        assert counters["gf256_vec_ops_total"] == 1
+        # The decode and the regeneration are one pass over the quorum.
+        assert counters.get("gf256_vec_ops_total", 0) == SYSTEMS[name].matmuls
         assert not any(key.startswith("secretsharing_splits_total") for key in counters)
         assert not any(key.startswith("maintenance_deferred_total") for key in counters)
 
@@ -133,8 +218,19 @@ def test_read_regenerates_exactly_the_rotted_shares(name, rotted):
         assert system.receipt("doc") is receipt
         assert receipt.placement is placement
         assert receipt.metadata == metadata
+        assert receipt.escrow.keys() == escrow.keys()
+        assert all(receipt.escrow[key] is value for key, value in escrow.items())
+        # No key was replaced or re-dealt, and nothing was sealed again.
+        for store, (entry, contents) in keys.items():
+            assert getattr(system, store)["doc"] is entry
+            assert entry == contents
+        assert _seals(system) == seals
         assert len(system.transcript) == sent + len(rotted)
-        # No randomness was drawn.
+        # No randomness was drawn, except that LINCOS's QKD link generates
+        # the one-time pad each rebuilt share is sent under.
+        if isinstance(system, Lincos):
+            for index in rotted:
+                twin_rng.bytes(len(clean[index]))
         assert system.rng.bytes(16) == twin_rng.bytes(16)
 
         # The second read finds nothing to repair.
@@ -165,10 +261,9 @@ def test_batch_read_repairs_each_object_in_its_decode():
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_repair_whose_put_fails_is_deferred_until_the_node_takes_writes(name):
-    _, n, _ = SYSTEMS[name]
     plan = FaultPlan(seed=1)
-    system, data = _build(name, plan.wrap_fleet(make_node_fleet(n + 1)))
-    index = min(system.receipt("doc").placement.node_by_share)
+    system, data = _build(name, plan.wrap_fleet(make_node_fleet(SYSTEMS[name].shares + 1)))
+    index = _fetched(system)[0]
     clean = _rot(system, [index])
     holder = system.receipt("doc").placement.node_by_share[index]
     outage = FaultRule(kind="outage", op="put", node_id=holder)

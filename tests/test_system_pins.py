@@ -28,18 +28,21 @@ from repro.systems import (
 )
 from repro.systems.pasis import PasisParameters
 
-#: One sha256 per scenario, recorded before the store/retrieve pipeline
-#: moved into ``ArchivalSystem``.  ArchiveSafeLT's moved once since: its
-#: repairs now re-encode under the object's own (wrapped) layers.
+#: One sha256 per scenario, first recorded before the store/retrieve
+#: pipeline moved into ``ArchivalSystem``.  Every value moved when
+#: repair-on-read began rebuilding the rotted share in place from the
+#: quorum the read decoded: each repair now sends that one share, draws no
+#: randomness and keeps the object's keys, where it used to re-encode the
+#: whole object.
 PINNED = {
-    "archivesafelt": "783dcfddb67c3439814441176b27f4400a888cedd35255bd2df95df0c0dbaf61",
-    "potshards": "b04325fe1438f50014b74910fde65ded7f19e30bf7f7bf99f7a4129430c61db7",
-    "pasis-replication": "396731e6cf5b03113d3388a51ea8c95f316f3d3852d04f9087208e5a658a7d24",
-    "pasis-erasure": "69d8042a5fe9a229f215df5ccdeebb86ab90f0977e3cb4906fd1bff70bfd2fce",
-    "pasis-shamir": "c47b00f6c202ba50a32db8b900c48c25efc0c028c8f07c44ed7380eabfb8befd",
-    "vsr": "dc8c738ddf16fdee609a77563df3616849c8621b38010cd803102db9c94727f7",
-    "hasdpss": "ffe96fdb6dae01029bc39b2027e061027156fc4611b81b481cb0763ce9106ffe",
-    "elsa": "b9c4fbab77ab7ab10b6e7d577722142de48e820ef749e49e357d3aa732d7e41a",
+    "archivesafelt": "e656b9c953244fd5ccaac7f62e0e2b90f6711c18d275df1b124cb14b62573168",
+    "potshards": "b5764b559eb74dc3a9c383d4a402ef658329cda990d76463072f6d1e3517833c",
+    "pasis-replication": "9c54fc956043061f530a95334b4d0ce49c60f0ad83a607bdbfe6c88054cb216a",
+    "pasis-erasure": "a887687e4839a64a1f2fdf621c4722616bf611204a7f7d820c6bed94c03708e4",
+    "pasis-shamir": "08bcbb18fe66b20e05a4aeae91af186eb4c1b0472f7aafbd8c5a478d7db205f7",
+    "vsr": "26cf70d736640c772829520449a48a9472687967523073d6713699be7e37f7b0",
+    "hasdpss": "8c5b3a1ec26d1d090278034e2dfb9c8a65da584634f20f69ea9c12d66fd0479e",
+    "elsa": "c15e92886539106ee7655bd131262636a8cb4a0369f89c1f900ba128a0e7aba9",
 }
 
 SIZES = (100, 777, 4096)

@@ -159,21 +159,25 @@ class TestArchiveSafeLT:
         system.store("doc", data)
         system.respond_to_break(timeline, epoch=15)  # AES broken: wrap in chacha20
         wrapped = ["chacha20", "aes-256-ctr", "chacha20"]
-        keys = [key for _, key, _ in system._key_history["doc"]]
+        history = system._key_history["doc"]
+        keys = list(history)
         receipt = system.receipt("doc")
-        rotted = min(receipt.placement.node_by_share)
-        system.placement_policy.node(receipt.placement.node_by_share[rotted]).corrupt_object(
-            share_key("doc", rotted), b"rotten"
-        )
+        rotted, kept = sorted(receipt.placement.node_by_share)
+        nodes = {
+            index: system.placement_policy.node(node_id)
+            for index, node_id in receipt.placement.node_by_share.items()
+        }
+        nodes[rotted].corrupt_object(share_key("doc", rotted), b"rotten")
         retrieved, report = system.retrieve_with_report("doc")
         assert retrieved == data and report.shares_repaired == 1
-        # The repair re-encoded under all three layers, with fresh keys, so
-        # the object still has two unbroken layers and needs no new wrap.
-        assert system.receipt("doc").metadata["layers"] == wrapped
-        assert all(
-            new != old
-            for (_, new, _), old in zip(system._key_history["doc"], keys, strict=True)
+        # The repair rebuilt the rotted replica from the wrapped one it
+        # decoded: same three layers, same keys, so the object still has two
+        # unbroken layers and needs no new wrap.
+        assert nodes[rotted].peek(share_key("doc", rotted)) == nodes[kept].peek(
+            share_key("doc", kept)
         )
+        assert system.receipt("doc").metadata["layers"] == wrapped
+        assert system._key_history["doc"] is history and history == keys
         assert system.unbroken_layer_count("doc", timeline, 15) == 2
         assert system.respond_to_break(timeline, epoch=15) is None
         assert system.retrieve("doc") == data
