@@ -16,6 +16,7 @@ from repro.integrity.timestamp import (
     TimestampAuthority,
     TimestampChain,
 )
+from repro.obs import use_registry
 
 
 class TestMerkleTree:
@@ -136,6 +137,27 @@ class TestTimestampChain:
             authority.timestamp_document(
                 TimestampChain(), b"x", epoch=0, reference_kind="quantum"
             )
+
+    def test_renewal_hashes_no_earlier_link_again(self):
+        """A renewal's hash work does not grow with the links it covers.
+        Its reference hashes the links' 32-byte digests, each computed
+        once when the chain was extended; no link body is hashed again."""
+        # Fixed-size Merkle signatures make every link the same size.
+        authority = TimestampAuthority(MerkleChainSigner(DeterministicRandom(b"renew"), height=6))
+        work = {}
+        for length in (4, 40):
+            chain = TimestampChain()
+            for i in range(length):
+                authority.timestamp_document(chain, b"doc %d" % i, epoch=0)
+            with use_registry() as registry:
+                authority.renew_chain(chain, epoch=1)
+            counters = registry.snapshot()["counters"]
+            work[length] = (
+                counters["crypto_hash_calls_total{algorithm=sha256}"],
+                counters["crypto_hash_bytes_total{algorithm=sha256}"],
+            )
+        assert work[40][0] == work[4][0]
+        assert work[40][1] - work[4][1] == 32 * (40 - 4)
 
 
 class TestChainAuditor:
