@@ -45,8 +45,8 @@ def break_everything_at(epoch: int) -> BreakTimeline:
     timeline = BreakTimeline()
     for name in ("aes-128-ctr", "aes-256-ctr", "chacha20", "sha256",
                  "hmac-sha256", "hkdf-sha256", "toy-dh", "toy-rsa",
-                 "lamport-ots", "merkle-lamport", "aont", "aont-rs",
-                 "feldman-vss", "cascade"):
+                 "lamport-ots", "winternitz-ots", "merkle-wots", "aont",
+                 "aont-rs", "feldman-vss", "cascade"):
         timeline.schedule_break(name, epoch)
     return timeline
 

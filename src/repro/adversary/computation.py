@@ -45,7 +45,8 @@ DEFAULT_STRENGTHS: dict[str, int] = {
     "hmac-sha256": 128,
     "hkdf-sha256": 128,
     "lamport-ots": 128,
-    "merkle-lamport": 128,
+    "winternitz-ots": 128,
+    "merkle-wots": 128,
     "aont": 128,
     "aont-rs": 128,
     "combined-hash": 128,

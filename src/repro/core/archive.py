@@ -107,7 +107,7 @@ class SecureArchive(ArchivalSystem):
         #: Every signer the archive has ever used, for auditors: hash-based
         #: signatures are finite-use, so long-lived chains rotate signers.
         #: Retired signers are kept as verifiers (their 32-byte roots); only
-        #: the last entry, the live signer, holds key slabs.
+        #: the last entry, the live signer, holds one-time keys.
         self.signer_history: list[MerkleChainSigner | MerkleChainVerifier] = [
             self.authority.signer
         ]
@@ -472,10 +472,10 @@ class SecureArchive(ArchivalSystem):
         signer = self.authority.signer
         # Keep headroom: one key for the succession link itself, plus at
         # least one spare for any store() landing before the next epoch.
-        if signer._scheme.remaining >= 3:
+        if signer.remaining >= 3:
             return
         self.authority.renew_chain(self.chain, self.epoch)  # old signer's last act
-        # Auditors only verify and read identities; drop the key slabs.
+        # Auditors only verify and read identities; drop the unused keys.
         self.signer_history[-1] = signer.verifier()
         new_signer = MerkleChainSigner(self.rng, height=self.SIGNER_HEIGHT)
         self.authority = TimestampAuthority(new_signer)

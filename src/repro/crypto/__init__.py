@@ -19,8 +19,8 @@ Submodules
 - ``otp`` -- the one-time pad (perfect secrecy baseline).
 - ``cascade`` -- cascade-cipher robust combiner (ArchiveSafeLT's mechanism).
 - ``aont`` -- all-or-nothing transform in the AONT-RS formulation.
-- ``signatures`` -- Lamport one-time signatures, Merkle signature scheme,
-  and a deliberately small toy RSA.
+- ``signatures`` -- Lamport and Winternitz one-time signatures, the Merkle
+  signature scheme over Winternitz keys, and a deliberately small toy RSA.
 - ``commitments`` -- Pedersen (IT-hiding) and hash (IT-binding) commitments.
 - ``drbg`` -- deterministic ChaCha20-based random generator.
 - ``registry`` -- primitive metadata + the cryptographic break timeline.

@@ -10,7 +10,7 @@ Two implementations:
   by ``tests/test_sha256.py``), because archival workloads hash megabytes and
   a pure-Python compression function runs ~1000x slower than C.
   :func:`sha256_rows` is the same fast path over every fixed-width row of
-  one buffer (the Lamport-key bulk hashes).
+  one buffer (the bulk hashes of hash-based signature keygen).
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ def sha256_rows(data, width: int) -> bytes:
 
     The same digests and the same ``crypto_hash_*`` totals as calling
     :func:`sha256` on each row, but the two counters are bumped once by the
-    totals instead of twice per row: a Merkle-Lamport keygen hashes 2^h x
-    512 preimages, and per-row counter updates would cost more than the
-    hashes."""
+    totals instead of twice per row: a Merkle-WOTS keygen hashes 2^h x
+    133 x 3 chain steps, and per-row counter updates would cost more than
+    the hashes."""
     view = memoryview(data).cast("B")
     if width <= 0 or len(view) % width:
         raise ParameterError(f"{len(view)} bytes do not split into {width}-byte rows")

@@ -18,7 +18,7 @@ def archive():
 def exhaust_signer(archive):
     """Burn the current signer down to its last key."""
     signer = archive.authority.signer
-    while signer._scheme.remaining > 2:
+    while signer.remaining > 2:
         archive.authority.renew_chain(archive.chain, archive.epoch)
 
 
