@@ -57,12 +57,15 @@ class MaintenanceReport:
     objects_renewed: int = 0
     renewal_bytes: int = 0
     chain_renewed: bool = False
-    #: Tier migrations this epoch's background pass made (0 untiered).
+    #: Tier migrations this epoch's pass made (0 untiered).  A rewrite that
+    #: both renews and moves an object counts here and in the renewal
+    #: fields above.
     objects_promoted: int = 0
     objects_demoted: int = 0
     migration_bytes: int = 0
-    #: Objects whose renewal or migration found too few nodes to place on;
-    #: their shares stay where they were until a later epoch moves them.
+    #: Objects whose renewal or migration found too few nodes to place on
+    #: (an object due both is on both lists); their shares stay where they
+    #: were until a later epoch moves them.
     renewals_deferred: list[str] = field(default_factory=list)
     migrations_deferred: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -487,10 +490,14 @@ class SecureArchive(ArchivalSystem):
     def advance_epoch(self) -> MaintenanceReport:
         """Advance the archive clock one epoch and run due maintenance.
 
-        On a tiered archive, the tier-migration pass runs in the same
-        background pipeline, after proactive renewal; all maintenance reads
-        (renewal *and* migration) run with the access tracker suspended so
-        background traffic never counts as user demand.
+        One pass rewrites each object at most once: on a tiered archive
+        the migrator first plans the epoch's moves, then every object due
+        for renewal or planned to move is re-split once, in store order and
+        straight into its target tier, and counts for each duty it served.
+        An object whose placement falls short is deferred for each of them,
+        and the epoch completes.  Maintenance reads run with the access
+        tracker suspended, so background traffic never counts as user
+        demand.  Chain renewal runs last.
         """
         with self._client_lock:
             return self._advance_epoch()
@@ -502,32 +509,48 @@ class SecureArchive(ArchivalSystem):
             report = MaintenanceReport(epoch=self.epoch)
             self._rollover_signer_if_needed(report)
             cadence = self.policy.renew_every_epochs
-            if (
+            renew = (
                 self.policy.information_theoretic
                 and cadence is not None
                 and self.epoch % cadence == 0
-            ):
-                with self._maintenance_reads():
-                    for object_id in list(self._receipts):
-                        try:
-                            report.renewal_bytes += self._renew_object(object_id)
-                        except PlacementShortfallError:
-                            # Nothing was deleted: the old shares still
-                            # read, and the next renewal epoch retries.
+            )
+            tiering = self.tiering
+            plan = tiering.run_epoch(self.epoch) if tiering is not None else {}
+            due = [oid for oid in self._receipts if renew or oid in plan]
+            with self._maintenance_reads():
+                for object_id in due:
+                    target = plan.get(object_id)
+                    try:
+                        written = self._renew_object(object_id, target)
+                    except PlacementShortfallError:
+                        # Nothing was deleted: the old shares still read,
+                        # and a later epoch retries.  Placement walks every
+                        # tier, so it falls short for the target tier
+                        # exactly when it would for the current one.
+                        if renew:
                             _metrics.inc(
                                 "maintenance_deferred_total", op="renew", reason="placement"
                             )
                             report.renewals_deferred.append(object_id)
-                            continue
+                        if target is not None:
+                            _metrics.inc(
+                                "maintenance_deferred_total", op="migrate", reason="placement"
+                            )
+                            report.migrations_deferred.append(object_id)
+                        continue
+                    if renew:
                         report.objects_renewed += 1
+                        report.renewal_bytes += written
+                    if target is not None:
+                        report.migration_bytes += written
+                        if tiering.record_move(object_id, target, written):
+                            report.objects_promoted += 1
+                        else:
+                            report.objects_demoted += 1
             _metrics.inc("archive_renewed_objects_total", report.objects_renewed)
             _metrics.inc("archive_renewal_bytes_total", report.renewal_bytes)
-            if self.tiering is not None:
-                migration = self.tiering.run_epoch(self.epoch)
-                report.objects_promoted = len(migration.promoted)
-                report.objects_demoted = len(migration.demoted)
-                report.migration_bytes = migration.bytes_moved
-                report.migrations_deferred = migration.deferred
+            if tiering is not None:
+                tiering.log_epoch(self.epoch, report.objects_promoted, report.objects_demoted)
             # Chain renewal every epoch keeps the head signature fresh.
             self.authority.renew_chain(self.chain, self.epoch)
             report.chain_renewed = True
@@ -541,8 +564,10 @@ class SecureArchive(ArchivalSystem):
         return nullcontext()
 
     @profiled(name="archive.renew_object")
-    def _renew_object(self, object_id: str) -> int:
-        """Client-driven share refresh: re-split and replace.
+    def _renew_object(self, object_id: str, tier: str | None) -> int:
+        """Client-driven share refresh: re-split and replace, placed in
+        *tier*'s layout on a tiered archive (the object's own tier when
+        None).
 
         For Shamir this is security-equivalent to Herzberg renewal (fresh
         uniform polynomial through the same secret); the in-place n^2
@@ -560,7 +585,9 @@ class SecureArchive(ArchivalSystem):
         receipt = self.receipt(object_id)
         shares = self._fetch_shares(receipt, need=self._quorum(receipt))
         data, _ = self._checked_decode(receipt, shares)
-        placement = self.placement_policy.place(object_id, sorted(receipt.placement.node_by_share))
+        placement = self.placement_policy.place(
+            object_id, sorted(receipt.placement.node_by_share), tier
+        )
         payloads, metadata, _ = self._encode(object_id, data)
         written = self._replace_shares(receipt, placement, payloads)
         receipt.metadata.update(metadata)

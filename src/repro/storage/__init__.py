@@ -37,7 +37,6 @@ from repro.storage.faults import (
 from repro.storage.tiering import (
     AccessTracker,
     MigrationPolicy,
-    MigrationReport,
     TierMigrator,
     TierRegistry,
     TierSpec,
@@ -64,7 +63,6 @@ __all__ = [
     "default_retry_policy",
     "AccessTracker",
     "MigrationPolicy",
-    "MigrationReport",
     "TierMigrator",
     "TierRegistry",
     "TierSpec",

@@ -103,19 +103,23 @@ class PlacementPolicy:
             return None
         return node.tier
 
-    def place(self, object_id: str, share_indices: list[int]) -> Placement:
+    def place(
+        self, object_id: str, share_indices: list[int], target_tier: str | None = None
+    ) -> Placement:
         """Choose a node for every share index in one walk over the fleet.
 
         Online nodes form one pool per tier plus one of untiered nodes (an
         untiered fleet is that one pool); when providers must be distinct, a
         pool keeps only each provider's first node.  Every pool starts at
         the fleet rotation, which advances once per successful placement, so
-        load spreads deterministically.  Shares are assigned in index order:
-        each walks its target tier's fallback order (nearest tier first,
-        colder before warmer), then the untiered nodes, and takes the first
-        node whose provider (or, when providers may repeat, the node itself)
-        holds none of the object's shares yet.  A share that finds no node
-        raises :class:`PlacementShortfallError` and changes nothing.
+        load spreads deterministically.  On a tiered fleet each share gets
+        its target tier from the migrator's layout for *target_tier* (the
+        object's assigned tier when None).  Shares are assigned in index
+        order: each walks its target tier's fallback order (nearest tier
+        first, colder before warmer), then the untiered nodes, and takes the
+        first node whose provider (or, when providers may repeat, the node
+        itself) holds none of the object's shares yet.  A share that finds
+        no node raises :class:`PlacementShortfallError` and changes nothing.
         """
         # Providers must not repeat within an object (nodes, when they may);
         # a pool keeps the first node of each key.
@@ -130,7 +134,11 @@ class PlacementPolicy:
             offset = self._rotation % len(pool)
             pools[tier] = pool[offset:] + pool[:offset]
         tiering = self.tiering
-        layout = tiering.layout_for(object_id, share_indices) if tiering else {}
+        layout = (
+            tiering.layout_for(share_indices, target_tier or tiering.tier_of(object_id))
+            if tiering
+            else {}
+        )
         searches: dict[str | None, list[tuple[str | None, str, StorageNode]]] = {}
         taken: set[str] = set()
         picks: list[tuple[int, str | None, StorageNode]] = []
@@ -210,8 +218,11 @@ class PlacementPolicy:
         not a promise that a healthy read stays off cold media: the tier
         layout binds the object's tier to its first ``data_shares`` shares,
         and where a decode needs more than that (packed sharing needs t + k)
-        every read takes the rest from cold (ROADMAP item 5).  Untiered
-        fleets fetch in plain index order.
+        every read takes the rest from cold.  ``enable_tiering`` binds the
+        policy's t as ``data_shares``; binding the decode threshold instead
+        waits for a benchmark change, because the tiered e2ebench workload
+        rots a cold node that its self-check expects reads to repair.
+        Untiered fleets fetch in plain index order.
 
         The fetch counters (attempts, shares, bytes, per-tier reads) are
         bumped once per fetch by their totals, also when an error

@@ -25,13 +25,15 @@ supplies the three pieces:
   (:meth:`bind` / ``SecureArchive.enable_tiering``), it assigns every
   object a tier (new objects start hottest), computes the per-share tier
   layout placement uses (the decode quorum rides the object's tier, parity
-  rides the coldest tier), and on each epoch tick promotes objects whose
-  decayed score clears ``promote_score`` and demotes objects idle past
-  ``demote_idle_epochs``.  A migration *is* a renewal: the object is
-  re-split through the archive's own proactive-renewal pipeline, so
-  demotion/promotion and re-encryption share one background pass, and the
-  move is priced with the archive I/O model (read at the source tier's
-  rate, write at the target's).
+  rides the coldest tier), and on each epoch tick plans which objects move:
+  one tier hotter when the decayed score clears ``promote_score``, one
+  tier colder when idle past ``demote_idle_epochs``.  The migrator moves
+  nothing itself.  The archive's maintenance pass rewrites each object at
+  most once per epoch: an object due for renewal and planned to move is
+  re-split once, straight into its target tier.  Only once the new shares
+  have landed does the migrator reassign the object and price the move
+  with the archive I/O model (read at the source tier's rate, write at the
+  target's).
 
 Determinism contract: no wall clocks, no ambient randomness -- tier
 assignments are a pure function of the operation sequence, so identically
@@ -42,15 +44,10 @@ seeded runs produce byte-identical assignments (pinned by
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.errors import (
-    ObjectNotFoundError,
-    ParameterError,
-    PlacementShortfallError,
-    StorageError,
-)
+from repro.errors import ObjectNotFoundError, ParameterError, StorageError
 from repro.obs import metrics as _metrics
 from repro.storage.archive_model import ArchiveProfile, op_service_time_s
 from repro.storage.media import MEDIA_CATALOG, MediaSpec
@@ -63,7 +60,6 @@ __all__ = [
     "TIER_WARM",
     "AccessTracker",
     "MigrationPolicy",
-    "MigrationReport",
     "TierMigrator",
     "TierRegistry",
     "TierSpec",
@@ -353,46 +349,20 @@ class MigrationPolicy:
             raise ParameterError("max_migrations_per_tick must be >= 1")
 
 
-@dataclass
-class MigrationReport:
-    """What one migration tick moved and what the moves cost."""
-
-    epoch: int
-    promoted: list[str] = field(default_factory=list)
-    demoted: list[str] = field(default_factory=list)
-    bytes_moved: int = 0
-    #: Priced duration of the moves: read at the source tier's rate plus
-    #: write at the target tier's (the Section 3.2 arithmetic per object).
-    priced_seconds: float = 0.0
-    skipped: int = 0
-    #: Due migrations that found too few nodes to place on; the object
-    #: stays on its source tier and a later tick tries again.
-    deferred: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "promoted": sorted(self.promoted),
-            "demoted": sorted(self.demoted),
-            "bytes_moved": self.bytes_moved,
-            "priced_seconds": self.priced_seconds,
-            "skipped": self.skipped,
-            "deferred": sorted(self.deferred),
-        }
-
-
 class TierMigrator:
-    """Assigns objects to tiers and migrates them as demand shifts.
+    """Assigns objects to tiers and plans their moves as demand shifts.
 
     Bind to an archive with :meth:`bind` (or, for the facade,
     ``SecureArchive.enable_tiering``); the archive's placement policy then
     reaches tiering through this migrator alone -- :meth:`layout_for` on
     every store/renewal/repair, the registry for fetch order and read
-    pricing, the tracker for demand -- and :meth:`run_epoch`, fired from
-    ``advance_epoch``, walks every object and moves it one tier at a time.
-    Migration reuses the archive's proactive-renewal pipeline (retrieve,
-    re-split, replace), so every move is also a re-encryption under fresh
-    randomness.
+    pricing, the tracker for demand.  Each epoch the archive asks
+    :meth:`run_epoch` for a plan (object id -> target tier, one step per
+    object), rewrites every due or planned object once in its own
+    maintenance pass -- retrieve, re-split into the target tier's layout,
+    replace -- and reports each move that landed to :meth:`record_move`.
+    A move is therefore also a re-encryption under fresh randomness, and
+    an object due for renewal and a move pays for one rewrite, not two.
     """
 
     def __init__(
@@ -409,6 +379,8 @@ class TierMigrator:
         self.archive = None
         #: Shares (the decode quorum) riding the object's own tier; set by bind.
         self._data_shares: int | None = None
+        #: Moves the last plan left for a later tick (the per-tick cap).
+        self._skipped = 0
         self.log: list[str] = []
 
     # -- wiring ------------------------------------------------------------------
@@ -437,13 +409,11 @@ class TierMigrator:
         """The object's current tier (hottest for objects not yet seen)."""
         return self.assignments.get(object_id, self.registry.hottest.name)
 
-    def layout_for(self, object_id: str, share_indices: Sequence[int]) -> dict[int, str]:
+    def layout_for(self, share_indices: Sequence[int], tier: str) -> dict[int, str]:
         """Per-share tier targets: the first ``data_shares`` indices (the
-        decode quorum) ride the object's tier, the rest ride the coldest
-        tier."""
+        decode quorum) ride *tier*, the rest ride the coldest tier."""
         if self._data_shares is None:
             raise ParameterError("migrator is not bound (call bind/enable_tiering)")
-        tier = self.tier_of(object_id)
         ordered = sorted(share_indices)
         quorum = set(ordered[: self._data_shares])
         coldest = self.registry.coldest.name
@@ -466,18 +436,24 @@ class TierMigrator:
 
     # -- the migration tick --------------------------------------------------------
 
-    def run_epoch(self, epoch: int) -> MigrationReport:
-        """One background pass: decay scores, then promote/demote.
+    def run_epoch(self, epoch: int) -> dict[str, str]:
+        """Plan one epoch's moves: object id -> target tier.
 
-        Objects move at most one tier per tick (a demotion ladder, not a
-        cliff), deterministically in sorted object-id order.
+        Advances the access clock to *epoch* and forgets objects the
+        archive no longer holds.  An object moves at most one tier per tick
+        (a demotion ladder, not a cliff): warmer when its decayed score
+        clears ``promote_score``, colder when idle past
+        ``demote_idle_epochs``.  Objects are planned in sorted id order up
+        to the per-tick cap; the rest wait for a later tick.  Nothing moves
+        here: the archive rewrites each planned object and calls
+        :meth:`record_move` once its new shares have landed.
         """
-        report = MigrationReport(epoch=epoch)
         if self.archive is None:
             raise ParameterError("migrator is not bound (call bind/enable_tiering)")
         self.tracker.advance_to(epoch)
         cap = self.policy.max_migrations_per_tick
-        moved = 0
+        plan: dict[str, str] = {}
+        self._skipped = 0
         for object_id in sorted(self.assignments):
             try:
                 self.archive.receipt(object_id)
@@ -486,7 +462,6 @@ class TierMigrator:
                 continue
             current = self.assignments[object_id]
             rank = self.registry.rank(current)
-            target: TierSpec | None = None
             if self.tracker.score(object_id) >= self.policy.promote_score and rank > 0:
                 target = self.registry.warmer(current)
             elif (
@@ -494,50 +469,35 @@ class TierMigrator:
                 and rank < len(self.registry) - 1
             ):
                 target = self.registry.colder(current)
-            if target is None or target.name == current:
+            else:
                 continue
-            if cap is not None and moved >= cap:
-                report.skipped += 1
+            if cap is not None and len(plan) >= cap:
+                self._skipped += 1
                 continue
-            try:
-                self._migrate(object_id, current, target, report)
-            except PlacementShortfallError:
-                # _migrate restored the source tier; nothing was deleted.
-                _metrics.inc("maintenance_deferred_total", op="migrate", reason="placement")
-                report.deferred.append(object_id)
-                continue
-            moved += 1
-        self.record_occupancy()
-        self.log.append(
-            f"epoch {epoch}: promoted {len(report.promoted)}, "
-            f"demoted {len(report.demoted)}, skipped {report.skipped}"
-        )
-        return report
+            plan[object_id] = target.name
+        return plan
 
-    def _migrate(
-        self, object_id: str, source: str, target: TierSpec, report: MigrationReport
-    ) -> None:
-        """Move one object by re-splitting it through the renewal pipeline
-        under the new assignment; priced read-at-source, write-at-target."""
-        source_spec = self.registry.get(source)
-        # The renewal's placement reads the assignment (layout_for), so it
-        # switches first, and back if the shares did not move.
-        self.assignments[object_id] = target.name
-        try:
-            with self.tracker.suspended():
-                moved_bytes = self.archive._renew_object(object_id)
-        except BaseException:  # noqa: ARCH001 -- restores the source tier, then re-raises
-            self.assignments[object_id] = source
-            raise
-        promoted = self.registry.rank(target.name) < self.registry.rank(source)
+    def record_move(self, object_id: str, target: str, moved_bytes: int) -> bool:
+        """The archive rewrote *object_id* into *target*'s layout: assign it
+        there, count the move and price it (read at the source tier's rate
+        plus write at the target's).  True for a promotion."""
+        source = self.registry.get(self.assignments[object_id])
+        target_spec = self.registry.get(target)
+        self.assignments[object_id] = target
+        promoted = self.registry.rank(target) < self.registry.rank(source.name)
         direction = "promote" if promoted else "demote"
-        (report.promoted if promoted else report.demoted).append(object_id)
-        report.bytes_moved += moved_bytes
-        cost_s = source_spec.read_seconds(moved_bytes) + target.write_seconds(moved_bytes)
-        report.priced_seconds += cost_s
+        cost_s = source.read_seconds(moved_bytes) + target_spec.write_seconds(moved_bytes)
         _metrics.inc("tier_migrations_total", direction=direction)
         _metrics.inc("tier_migration_bytes_total", moved_bytes)
         _metrics.observe("tier_migration_seconds", cost_s)
+        return promoted
+
+    def log_epoch(self, epoch: int, promoted: int, demoted: int) -> None:
+        """Close an epoch's pass: log its moves and publish occupancy."""
+        self.record_occupancy()
+        self.log.append(
+            f"epoch {epoch}: promoted {promoted}, demoted {demoted}, skipped {self._skipped}"
+        )
 
     # -- observability -------------------------------------------------------------
 

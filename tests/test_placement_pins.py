@@ -26,13 +26,16 @@ from repro.systems.cloud import CloudProviderArchive
 #: the untiered rotation and a separate tiered walk.  "tiered-failing" moved
 #: (from 456d4c53...) when they became one walk, because a failed placement
 #: no longer advances the rotation, assigns the object a tier, records an
-#: access or counts the shares it chose before failing.
+#: access or counts the shares it chose before failing.  "tiered" and
+#: "tiered-failing" moved (from 73774a22... and f501bade...) when an
+#: epoch's maintenance became one pass: an object due for renewal and a
+#: tier move is placed once, so the rotation advances once for it.
 PINNED = {
     "untiered": "feb4e622e70816ef87df56a1fe387ae860bb0b9e3580d0af772ec0980e265e28",
     "repeated-providers": "fb19afa99bea1dbeb59bcda3c96db17b26c3c5cb949fa5bfb2678ce164436acc",
     "cloud": "8f27d87984582db62cedd9f608bb6c8d513c46a6a5bd6043a3d4c86aeb539016",
-    "tiered": "73774a22d226152e8c9aa5747aa03bfd55fb9a057995c3b65fcb6c935efaf765",
-    "tiered-failing": "f501bade50c2900ed5ddca9d6248afb42668e23ea2dafbd3f8745b9280d9bbf6",
+    "tiered": "54222277f7eb02bc58e7c9c77dd848fc1d5db3924f70005a1f1bb26e26721a59",
+    "tiered-failing": "f07a62aae8f47da752ad460433cbff1cabddbc565cb256d6284941177199d63e",
 }
 
 TIERED_COUNTS = {TIER_HOT: 4, TIER_WARM: 4, TIER_COLD: 6}

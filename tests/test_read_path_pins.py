@@ -92,7 +92,10 @@ SCENARIOS = {
 }
 
 #: Per scenario: (digest of bytes, reads and reports; digest of the
-#: snapshot without the read counters; the read counters).
+#: snapshot without the read counters; the read counters).  "century",
+#: "economy" and "lrss" moved when an epoch's maintenance became one pass:
+#: in epoch 2 each rewrites four objects once instead of twice, so four
+#: maintenance fetches, decodes and splits fewer.
 PINNED = {
     "aontrs": (
         "b50e3bee95cdef65e7acb5de334a4e462887b8d16f987bd07fa7a3de69646bc2",
@@ -110,25 +113,25 @@ PINNED = {
         },
     ),
     "century": (
-        "6bce7cb7c17f171b0f5946af1d2e2ed9f0975a1030805b0f3652321991e0d492",
-        "b16e4da29cad6a955bf1d8a21d3e7211612cdbb02c32c226406e49eb4c0a23fc",
+        "588642937b071d93e42c440ac30f061cc0d5f166db6b90b36bf5977fa5d07002",
+        "e9b181f9a3a6a41956ace388a97a5f41ea2d0e42aa4d63eb30b5d22b544447aa",
         {
             "archive_ops_total{op=advance_epoch}": 2,
             "archive_ops_total{op=retrieve}": 17,
             "archive_ops_total{op=store}": 4,
             "archive_retrieve_bytes_total": 36496,
-            "codec_plan_requests_total{plan=lagrange}": 29,
-            "codec_plan_requests_total{plan=vandermonde}": 16,
-            "gf256_vec_ops_total": 45,
+            "codec_plan_requests_total{plan=lagrange}": 25,
+            "codec_plan_requests_total{plan=vandermonde}": 12,
+            "gf256_vec_ops_total": 37,
             "maintenance_deferred_total{op=repair,reason=put}": 1,
             "repairs_on_read_total": 7,
             "spans_total{span=archive.retrieve}": 17,
-            "storage_fetch_attempts_total": 98,
-            "storage_fetch_bytes_total": 189354,
-            "storage_shares_fetched_total": 87,
+            "storage_fetch_attempts_total": 86,
+            "storage_fetch_bytes_total": 162732,
+            "storage_shares_fetched_total": 75,
             "storage_shares_lost_total{reason=corrupted}": 8,
             "tier_reads_total{tier=cold}": 8,
-            "tier_reads_total{tier=hot}": 59,
+            "tier_reads_total{tier=hot}": 47,
             "tier_reads_total{tier=warm}": 20,
         },
     ),
@@ -156,47 +159,47 @@ PINNED = {
         },
     ),
     "economy": (
-        "2b49ac274baf65555d36790f7d888e80131718ffe458be55cf680e0ae382f3f0",
-        "b9905f2997913d1dc7b0198472edaf37edf81b6a2a0a6b23a02aa139544fdab1",
+        "e15e3aaebc97226e32c0c81f91c868b497fc30bc855faef18b32d3db7f80406f",
+        "d0afd448c2f697faa4af7105a6587ddbaac7e1a2500c85672e221e4bea763fcb",
         {
             "archive_ops_total{op=advance_epoch}": 2,
             "archive_ops_total{op=retrieve}": 17,
             "archive_ops_total{op=store}": 4,
             "archive_retrieve_bytes_total": 36496,
-            "codec_plan_requests_total{plan=lagrange}": 45,
-            "gf256_vec_ops_total": 45,
+            "codec_plan_requests_total{plan=lagrange}": 37,
+            "gf256_vec_ops_total": 37,
             "maintenance_deferred_total{op=repair,reason=put}": 1,
             "repairs_on_read_total": 7,
             "spans_total{span=archive.retrieve}": 17,
-            "storage_fetch_attempts_total": 185,
-            "storage_fetch_bytes_total": 126324,
-            "storage_shares_fetched_total": 174,
+            "storage_fetch_attempts_total": 161,
+            "storage_fetch_bytes_total": 108564,
+            "storage_shares_fetched_total": 150,
             "storage_shares_lost_total{reason=corrupted}": 8,
-            "tier_reads_total{tier=cold}": 95,
-            "tier_reads_total{tier=hot}": 59,
+            "tier_reads_total{tier=cold}": 83,
+            "tier_reads_total{tier=hot}": 47,
             "tier_reads_total{tier=warm}": 20,
         },
     ),
     "lrss": (
-        "d639f4c2583d6b73ec128ffb00164a8f6d4775ae3da80ef0119327faf4204f03",
-        "f4dccd9374cfac115e08292d3987fcf1377371832e49e40d65e28ed6953ca025",
+        "30414045f2354dcbcdbdd47abecd9504f0e0274f48dd5ff1c2c5f552170aa4b0",
+        "204fb2359904357d7f8a4c2cad59a53be878cdbdb99702c123110d3c5129c700",
         {
             "archive_ops_total{op=advance_epoch}": 2,
             "archive_ops_total{op=retrieve}": 17,
             "archive_ops_total{op=store}": 4,
             "archive_retrieve_bytes_total": 36496,
-            "codec_plan_requests_total{plan=lagrange}": 29,
-            "codec_plan_requests_total{plan=vandermonde}": 16,
-            "gf256_vec_ops_total": 45,
+            "codec_plan_requests_total{plan=lagrange}": 25,
+            "codec_plan_requests_total{plan=vandermonde}": 12,
+            "gf256_vec_ops_total": 37,
             "maintenance_deferred_total{op=repair,reason=put}": 1,
             "repairs_on_read_total": 7,
             "spans_total{span=archive.retrieve}": 17,
-            "storage_fetch_attempts_total": 98,
-            "storage_fetch_bytes_total": 193530,
-            "storage_shares_fetched_total": 87,
+            "storage_fetch_attempts_total": 86,
+            "storage_fetch_bytes_total": 166332,
+            "storage_shares_fetched_total": 75,
             "storage_shares_lost_total{reason=corrupted}": 8,
             "tier_reads_total{tier=cold}": 8,
-            "tier_reads_total{tier=hot}": 59,
+            "tier_reads_total{tier=hot}": 47,
             "tier_reads_total{tier=warm}": 20,
         },
     ),

@@ -6,7 +6,8 @@ Three layers of pinning:
   decayed access tracker, and the migration policy knobs;
 - behavioral tests for tier-aware placement (quorum hot / parity cold,
   hot-first fetch, cold fallback priced by the archive I/O model) and the
-  migrator's promote/demote ladder riding the renewal pipeline;
+  migrator's promote/demote ladder riding the archive's one maintenance
+  pass (an object due for renewal and a move is rewritten once);
 - the migration-invariant property suite: 200 seeded simulations that
   interleave stores, retrieves, and migration ticks, asserting after every
   operation that (a) every object stays decodable at quorum, (b) share
@@ -22,7 +23,12 @@ import pytest
 
 from repro.analysis.tiers_scenario import run_tiers_scenario
 from repro.core.archive import SecureArchive
-from repro.core.policy import PRACTICAL_COMPUTATIONAL, ArchivePolicy, ConfidentialityTarget
+from repro.core.policy import (
+    CENTURY_SAFE,
+    PRACTICAL_COMPUTATIONAL,
+    ArchivePolicy,
+    ConfidentialityTarget,
+)
 from repro.crypto.drbg import DeterministicRandom
 from repro.errors import ParameterError, StorageError
 from repro.obs.metrics import use_registry
@@ -339,9 +345,32 @@ class TestTierMigrator:
         # ...but its internal reads never registered as demand.
         assert migrator.tier_of("obj") == TIER_COLD
 
-    def test_failed_migration_keeps_source_tier(self, registry):
+    def test_renewal_and_demotion_share_one_rewrite(self):
+        assert CENTURY_SAFE.renew_every_epochs == 1
         archive = FastSignerArchive(
-            PRACTICAL_COMPUTATIONAL,
+            CENTURY_SAFE, make_tiered_fleet(dict(FLEET_COUNTS)), DeterministicRandom(b"one pass")
+        )
+        migrator = archive.enable_tiering(
+            TierMigrator(policy=MigrationPolicy(demote_idle_epochs=1))
+        )
+        archive.store("doc", b"renewed and demoted at once")
+        with use_registry() as epoch_registry:
+            report = archive.advance_epoch()
+        counters = epoch_registry.snapshot()["counters"]
+        # Due for renewal and for demotion: one re-split, one share set.
+        assert counters["storage_puts_total"] == CENTURY_SAFE.n
+        assert counters["secretsharing_splits_total{scheme=shamir}"] == 1
+        assert report.objects_renewed == report.objects_demoted == 1
+        assert report.renewal_bytes == report.migration_bytes > 0
+        assert migrator.tier_of("doc") == TIER_WARM
+        assert archive.retrieve("doc") == b"renewed and demoted at once"
+
+    @pytest.mark.parametrize(
+        "policy", [PRACTICAL_COMPUTATIONAL, CENTURY_SAFE], ids=["computational", "renewing"]
+    )
+    def test_failed_migration_keeps_source_tier(self, registry, policy):
+        archive = FastSignerArchive(
+            policy,
             make_tiered_fleet(dict(FLEET_COUNTS)),
             DeterministicRandom(b"failed migration"),
         )
@@ -350,21 +379,28 @@ class TestTierMigrator:
         )
         archive.store("doc", b"stays hot")
         placed = share_tiers(archive, "doc")
+        # A renewing policy makes the object due for renewal as well.
+        renewals = ["doc"] if policy.renew_every_epochs else []
 
         def node_keys():
             return {(node.node_id, key) for node in archive.nodes for key in node.object_ids()}
 
         keys, links = node_keys(), len(archive.chain)
-        # Four hot nodes and one warm stay up: the demotion cannot place six shares.
-        for node in archive.nodes[5:]:
+        # Only n - 1 nodes stay up: the demotion cannot place n shares.
+        down = archive.nodes[policy.n - 1 :]
+        for node in down:
             node.set_online(False)
-        # The migration is deferred; the epoch still completes.
+        # Every duty the object was due is deferred; the epoch still completes.
         report = archive.advance_epoch()
         assert (report.objects_demoted, report.migrations_deferred) == (0, ["doc"])
+        assert (report.objects_renewed, report.renewals_deferred) == (0, renewals)
         assert report.chain_renewed and len(archive.chain) == links + 1
         counters = registry.snapshot()["counters"]
         assert counters["maintenance_deferred_total{op=migrate,reason=placement}"] == 1
-        for node in archive.nodes[5:]:
+        assert counters.get("maintenance_deferred_total{op=renew,reason=placement}", 0) == len(
+            renewals
+        )
+        for node in down:
             node.set_online(True)
         assert migrator.tier_of("doc") == TIER_HOT
         assert share_tiers(archive, "doc") == placed
@@ -372,6 +408,7 @@ class TestTierMigrator:
         # With the nodes back, the next epoch makes the demotion.
         report = archive.advance_epoch()
         assert (report.objects_demoted, report.migrations_deferred) == (1, [])
+        assert (report.objects_renewed, report.renewals_deferred) == (len(renewals), [])
         assert migrator.tier_of("doc") == TIER_WARM
         assert archive.retrieve("doc") == b"stays hot"
 
@@ -388,7 +425,7 @@ class TestTierMigrator:
         with pytest.raises(ParameterError):
             migrator.run_epoch(1)
         with pytest.raises(ParameterError):
-            migrator.layout_for("obj", [1, 2, 3])
+            migrator.layout_for([1, 2, 3], TIER_HOT)
         with pytest.raises(ParameterError):
             migrator.bind(object(), data_shares=3)  # no renewal pipeline
 
