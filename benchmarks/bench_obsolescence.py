@@ -11,6 +11,7 @@ epochs fall out of the arithmetic.  The artifact tables show:
 """
 
 
+import repro.crypto.proxy  # noqa: ARCH002 -- registers proxy-reencryption, a row of the table
 from repro.adversary.computation import (
     DEFAULT_STRENGTHS,
     ComputeBudget,
