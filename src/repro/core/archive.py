@@ -251,9 +251,9 @@ class SecureArchive(ArchivalSystem):
 
     def _decode(self, receipt: StoreReceipt, fetched: dict[int, bytes], regenerate):
         # Every policy's shares are values of one GF(256) polynomial, so the
-        # decode's interpolation also rebuilds the rotted ones, which the
-        # read rewrites in place; the receipt, its timestamp and the
-        # placement stay as they are.
+        # decode's interpolation also rebuilds the rotted or missing ones,
+        # which the read rewrites in place; the receipt, its timestamp and
+        # the placement stay as they are.
         split = self._split(receipt, fetched)
         data, rebuilt = self._scheme.reconstruct(split, regenerate=regenerate)
         return data, share_payloads(rebuilt)
@@ -336,27 +336,30 @@ class SecureArchive(ArchivalSystem):
     def retrieve_batch(self, object_ids: Sequence[str]) -> list[bytes]:
         """Retrieve many objects; plaintexts come back in input order.
 
-        Fetching stays sequential (placement retry state is shared), the
-        decode fan-out runs on the thread pool, and repair-on-read runs
-        sequentially afterwards with each object's own degraded-read
-        report restored.
+        Fetching stays sequential (placement retry state is shared); each
+        object's decode goes to the thread pool as soon as its shares are
+        fetched, so it overlaps the next object's fetch.  Repair-on-read
+        runs sequentially afterwards with each object's own degraded-read
+        report restored.  A fetch that raises ends the batch once the
+        decodes already submitted have finished.
         """
         object_ids = list(object_ids)
         start = time.perf_counter()
         with self._client_lock, span("archive.retrieve_batch", count=len(object_ids)):
-            fetched_by_id = []
-            for object_id in object_ids:
-                _metrics.inc("archive_ops_total", op="retrieve")
-                receipt = self.receipt(object_id)
-                fetched = self._fetch_shares(receipt, need=self._quorum(receipt))
-                report = self.last_read_report
-                fetched_by_id.append((receipt, fetched, report.repair_candidates, report))
+            pending = []
             with ThreadPoolExecutor(max_workers=self._BATCH_WORKERS) as pool:
-                decoded = list(
-                    pool.map(lambda entry: self._checked_decode(*entry[:3]), fetched_by_id)
-                )
+                for object_id in object_ids:
+                    _metrics.inc("archive_ops_total", op="retrieve")
+                    receipt = self.receipt(object_id)
+                    fetched = self._fetch_shares(receipt, need=self._quorum(receipt))
+                    report = self.last_read_report
+                    decode = pool.submit(
+                        self._checked_decode, receipt, fetched, report.repair_candidates
+                    )
+                    pending.append((receipt, report, decode))
+                decoded = [decode.result() for _, _, decode in pending]
             results = []
-            for (receipt, _, _, report), (data, rebuilt) in zip(fetched_by_id, decoded):
+            for (receipt, report, _), (data, rebuilt) in zip(pending, decoded):
                 self.last_read_report = report
                 data = self._finish_read(receipt, data, rebuilt)
                 _metrics.inc("archive_retrieve_bytes_total", len(data))

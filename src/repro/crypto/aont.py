@@ -45,16 +45,16 @@ def aont_package_array(data, rng: DeterministicRandom) -> np.ndarray:
 
     *data* may be bytes-like or a flat uint8 array; it is viewed, never
     copied.  The body (``c_1..c_s``) is the slab CTR transform of the data,
-    written straight into the single output buffer that also receives the
-    final ``k XOR h(c_1..c_s)`` block, so packaging costs one pass and one
-    copy regardless of object size.
+    written by the cipher straight into the single output buffer that also
+    receives the final ``k XOR h(c_1..c_s)`` block, so packaging writes
+    each body byte once regardless of object size.
     """
     key = rng.bytes(KEY_SIZE)
     buf = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
     length = buf.size
     package = np.empty(length + KEY_SIZE, dtype=np.uint8)
     body = package[:length]
-    body[:] = aes_ctr_transform(key, _ZERO_NONCE, buf, initial_counter=_COUNTER_BASE)
+    aes_ctr_transform(key, _ZERO_NONCE, buf, initial_counter=_COUNTER_BASE, out=body)
     digest = sha256(body)
     package[length:] = np.frombuffer(key, dtype=np.uint8) ^ np.frombuffer(
         digest, dtype=np.uint8

@@ -96,6 +96,8 @@ def chacha20_keystream(key: bytes, nonce: bytes, length: int, counter: int = 0) 
         return b""
 
     n_blocks = -(-length // BLOCK_SIZE)
+    if counter < 0:
+        raise ParameterError("ChaCha20 block counter must be non-negative")
     if counter + n_blocks > 1 << 32:
         raise ParameterError("ChaCha20 block counter would overflow")
     _metrics.inc("crypto_cipher_calls_total", cipher="chacha20")

@@ -240,8 +240,14 @@ class FaultPlan:
         self._op_ordinal[(node.node_id, op)] = ordinal + 1
         attempt = 0
         if op == "get":
-            attempt = self._read_attempts.get((node.node_id, object_id), 0) + 1
-            self._read_attempts[(node.node_id, object_id)] = attempt
+            # Only flaky rules read the attempt count, so only the pairs one
+            # matches are counted (from the first read after such a rule
+            # exists).
+            for rule in self.rules:
+                if rule.kind == "flaky" and rule.matches(node.node_id, op, object_id):
+                    attempt = self._read_attempts.get((node.node_id, object_id), 0) + 1
+                    self._read_attempts[(node.node_id, object_id)] = attempt
+                    break
         for rule_index, rule in enumerate(self.rules):
             if not rule.matches(node.node_id, op, object_id):
                 continue
@@ -450,9 +456,12 @@ class DegradedReadReport:
 
     @property
     def repair_candidates(self) -> list[int]:
-        """Share indices that failed their integrity check: the shares
-        repair-on-read rewrites once the object decodes."""
-        return sorted(i for i, r in self.shares_failed.items() if r == "corrupted")
+        """Share indices whose node is online but failed the integrity
+        check or no longer holds the share: the shares repair-on-read
+        rewrites, in place, once the object decodes."""
+        return sorted(
+            i for i, r in self.shares_failed.items() if r in ("corrupted", "missing")
+        )
 
     def as_dict(self) -> dict:
         return {

@@ -16,7 +16,8 @@ it encodes an object, so a subclass supplies four hooks:
 ``_decode(receipt, shares, regenerate) -> (bytes, {share index: payload})``
     Decode ``{share index: payload}`` (the base has checked the quorum),
     and rebuild from the same quorum the shares at the indices
-    *regenerate* lists (empty unless a read found shares rotted).
+    *regenerate* lists (empty unless a read found shares rotted or
+    missing).
 ``_quorum(receipt) -> int | None``
     The shares a read stops at and a decode needs (None: every placed
     share, no single quorum).
@@ -27,7 +28,8 @@ it encodes an object, so a subclass supplies four hooks:
 Repair-on-read is regeneration on every system: the quorum a read decoded
 fixes every other share byte for byte (a replica is its own copy; Shamir
 and Reed-Solomon shares are values of one polynomial), so ``_decode``
-rebuilds the rotted shares and the read rewrites each where it already is
+rebuilds the shares the read found rotted or missing on an online node,
+and the read rewrites each under the node and key that held it
 (:meth:`ArchivalSystem._rewrite_shares`).  A repair draws no encoding
 randomness and places, deletes or seals nothing, so receipts and keys stay
 as they are.
@@ -251,7 +253,8 @@ class ArchivalSystem(abc.ABC):
 
         The per-fetch :class:`DegradedReadReport` lands in
         :attr:`last_read_report`; a read's decode regenerates the shares it
-        lists as corrupted, and :meth:`_finish_read` rewrites them.
+        lists as corrupted or missing, and :meth:`_finish_read` rewrites
+        them.
         """
         shares, report = self.placement_policy.fetch_degraded(
             receipt.placement, need=need
@@ -263,7 +266,8 @@ class ArchivalSystem(abc.ABC):
         self, receipt: StoreReceipt, data: bytes, rebuilt: dict[int, bytes]
     ) -> bytes:
         """Post-decode step of every read: repair-on-read rewrites the
-        *rebuilt* shares, the ones the fetch found rotted, in place.
+        *rebuilt* shares, the ones the fetch found rotted or missing, in
+        place.
 
         A put that still fails after its retries is deferred, not raised:
         the read has already decoded, the shares it did not rewrite and the
@@ -328,11 +332,11 @@ class ArchivalSystem(abc.ABC):
 
     def retrieve(self, object_id: str) -> bytes:
         """Fetch shares up to the quorum, decode the object and repair the
-        shares the fetch found rotted."""
+        shares the fetch found rotted or missing."""
         receipt = self.receipt(object_id)
         shares = self._fetch_shares(receipt, need=self._quorum(receipt))
-        rotted = self.last_read_report.repair_candidates
-        return self._finish_read(receipt, *self._checked_decode(receipt, shares, rotted))
+        damaged = self.last_read_report.repair_candidates
+        return self._finish_read(receipt, *self._checked_decode(receipt, shares, damaged))
 
     def receipt(self, object_id: str) -> StoreReceipt:
         try:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.aes import (
     AesCtrCipher,
+    aes_ctr_transform,
     aes_ctr_xor,
     aes_decrypt_block,
     aes_encrypt_block,
@@ -75,6 +76,10 @@ class TestAesCtr:
     def test_counter_overflow_rejected(self):
         with pytest.raises(ParameterError):
             aes_ctr_xor(b"\x00" * 32, b"\x00" * 12, b"\x00" * 32, initial_counter=(1 << 32) - 1)
+
+    def test_negative_counter_rejected(self):
+        with pytest.raises(ParameterError, match="non-negative"):
+            aes_ctr_transform(b"\x00" * 32, b"\x00" * 12, b"data", initial_counter=-1)
 
     def test_cipher_wrapper_roundtrip(self):
         cipher = AesCtrCipher()
@@ -155,6 +160,10 @@ class TestChaCha20ScalarReference:
         )
         with pytest.raises(ParameterError):
             chacha20_keystream(self.KEY, self.NONCE, 65, counter=last)
+
+    def test_negative_counter_rejected(self):
+        with pytest.raises(ParameterError, match="non-negative"):
+            chacha20_keystream(self.KEY, self.NONCE, 64, counter=-1)
 
 
 class TestChaCha20:

@@ -138,6 +138,40 @@ class TestFaultPlan:
             node.get("b")  # each object gets its own flaky first read
         assert node.get("b") == b"2"
 
+    def test_read_attempts_are_kept_only_where_a_flaky_rule_matches(self, registry):
+        plan, fleet = make_plan_fleet(
+            3, [flaky_first_reads("node-0", fail_reads=2), silent_bitrot("node-1")]
+        )
+        for node in fleet:
+            node.put("doc", b"payload")
+        for _ in range(2):
+            with pytest.raises(NodeUnavailableError, match="flaky"):
+                fleet[0].get("doc")
+        assert fleet[0].get("doc") == b"payload"
+        with pytest.raises(IntegrityError):
+            fleet[1].get("doc")
+        assert fleet[2].get("doc") == b"payload"
+        assert plan._read_attempts == {("node-0", "doc"): 3}
+        # Counting starts with the rule: reads made before it do not count.
+        plan.add_rule(flaky_first_reads("node-2"))
+        with pytest.raises(NodeUnavailableError, match="flaky read #1"):
+            fleet[2].get("doc")
+        assert fleet[2].get("doc") == b"payload"
+
+    def test_a_plan_without_flaky_rules_keeps_no_read_attempts(self, registry):
+        plan, fleet = make_plan_fleet(
+            2, [silent_bitrot("node-0"), silent_bitrot("node-1", object_substr="doc")]
+        )
+        for node in fleet:
+            node.put("doc", b"payload")
+            node.put("other", b"payload")
+        for node, object_id in ((fleet[0], "doc"), (fleet[0], "other"), (fleet[1], "doc")):
+            with pytest.raises(IntegrityError):
+                node.get(object_id)
+        assert fleet[1].get("other") == b"payload"
+        assert registry.snapshot()["counters"]["faults_injected_total{kind=bitrot}"] == 3
+        assert plan._read_attempts == {}
+
     def test_latency_accumulates_and_respects_deadline(self, registry):
         plan = FaultPlan([injected_latency("node-0", latency_s=0.02)], deadline_s=1.0)
         node = plan.wrap(make_node_fleet(1)[0])

@@ -18,9 +18,9 @@ from repro import (
     SecureArchive,
     make_node_fleet,
 )
-from repro.core.policy import CENTURY_SAFE
+from repro.core.policy import CENTURY_SAFE, PRACTICAL_COMPUTATIONAL
 from repro.crypto.aes import _expand_key, aes_ctr_xor
-from repro.errors import ParameterError
+from repro.errors import ObjectNotFoundError, ParameterError
 from repro.gmath.gf256 import GF256
 from repro.gmath.kernel import (
     clear_plan_caches,
@@ -307,6 +307,23 @@ class TestBatchIngest:
             histograms = registry.host_snapshot()["histograms"]
         assert histograms["archive_batch_seconds{op=store}"]["count"] == 1
         assert histograms["archive_batch_seconds{op=retrieve}"]["count"] == 1
+
+    def test_a_failed_fetch_ends_the_batch_after_the_decodes_before_it(self):
+        """Each object's decode starts as soon as its shares are fetched, so
+        when a later lookup or fetch raises, the objects fetched before it
+        have been decoded and counted, but none is returned or counted as
+        retrieved bytes."""
+        from repro.obs import use_registry
+
+        with use_registry() as registry:
+            archive = self._archive(policy=PRACTICAL_COMPUTATIONAL)
+            archive.store_batch([("a", b"x" * 100), ("b", b"y" * 100)])
+            with pytest.raises(ObjectNotFoundError):
+                archive.retrieve_batch(["a", "ghost", "b"])
+            counters = registry.snapshot()["counters"]
+        assert counters["archive_ops_total{op=retrieve}"] == 2
+        assert counters["crypto_aont_ops_total{direction=unpackage}"] == 1
+        assert "archive_retrieve_bytes_total" not in counters
 
     def test_store_large_flows_through_batch(self):
         from repro.obs import use_registry

@@ -240,6 +240,38 @@ def test_read_regenerates_exactly_the_rotted_shares(name, rotted):
         assert registry.snapshot()["counters"]["repairs_on_read_total"] == len(rotted)
 
 
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_read_rewrites_a_missing_share_under_its_key(name):
+    """A share whose node is online but no longer holds it is rebuilt in
+    the read's decode and rewritten under the same node and key with its
+    old bytes; every other stored share stays as it was."""
+    system, data = _build(name)
+    index = _fetched(system)[0]
+    node = system.placement_policy.node(system.receipt("doc").placement.node_by_share[index])
+    key = share_key("doc", index)
+    lost = node.peek(key)
+    node.delete(key)
+    before = _stored(system)
+
+    with use_registry() as registry:
+        read, report = system.retrieve_with_report("doc")
+        assert read == data
+        assert report.shares_failed == {index: "missing"}
+        assert report.repair_candidates == [index]
+        assert report.shares_repaired == 1
+        counters = registry.snapshot()["counters"]
+        assert counters["repairs_on_read_total"] == 1
+        assert counters.get("gf256_vec_ops_total", 0) == SYSTEMS[name].matmuls
+    assert node.peek(key) == lost
+    after = _stored(system)
+    assert after.keys() == before.keys() | {(node.node_id, key)}
+    assert all(after[stored] is before[stored] for stored in before)
+
+    read, report = system.retrieve_with_report("doc")
+    assert read == data
+    assert report.shares_failed == {} and report.shares_repaired == 0
+
+
 def test_batch_read_repairs_each_object_in_its_decode():
     archive = _Archive(CENTURY_SAFE, make_node_fleet(6), DeterministicRandom(b"batch"))
     items = [(f"obj-{i}", DeterministicRandom(f"batch/{i}").bytes(700 + i)) for i in range(3)]

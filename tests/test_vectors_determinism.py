@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from repro.crypto.aes import (
     _CHUNK_BLOCKS,
+    _ROUND_CACHE_MIN_BLOCKS,
+    aes_ctr_transform,
     aes_ctr_xor,
     aes_decrypt_blocks,
     aes_encrypt_block,
     aes_encrypt_blocks,
 )
+from repro.errors import ParameterError
 from repro.crypto.chacha20 import chacha20_keystream
 from repro.crypto.drbg import DeterministicRandom
 from repro.crypto.kdf import hkdf
@@ -94,12 +97,82 @@ class TestNistAesVectors:
         first = 7
         stream = aes_ctr_xor(key, nonce, bytes(16 * n_blocks), initial_counter=first)
         stream_blocks = np.frombuffer(stream, dtype=np.uint8).reshape(-1, 16)
-        counter_blocks = np.empty((n_blocks, 16), dtype=np.uint8)
-        counter_blocks[:, :12] = np.frombuffer(nonce, dtype=np.uint8)
-        counters = np.arange(first, first + n_blocks, dtype=">u4")
-        counter_blocks[:, 12:] = counters.view(np.uint8).reshape(-1, 4)
+        counter_blocks = _counter_blocks(nonce, first, n_blocks)
         np.testing.assert_array_equal(aes_decrypt_blocks(key, stream_blocks), counter_blocks)
         np.testing.assert_array_equal(aes_encrypt_blocks(key, counter_blocks), stream_blocks)
+
+
+def _counter_blocks(nonce: bytes, first: int, n_blocks: int) -> np.ndarray:
+    """The CTR input blocks ``nonce || counter`` (big-endian), explicitly."""
+    blocks = np.empty((n_blocks, 16), dtype=np.uint8)
+    blocks[:, :12] = np.frombuffer(nonce, dtype=np.uint8)
+    counters = np.arange(first, first + n_blocks, dtype=">u4")
+    blocks[:, 12:] = counters.view(np.uint8).reshape(-1, 4)
+    return blocks
+
+
+class TestCtrCachedRounds:
+    """Messages from ``_ROUND_CACHE_MIN_BLOCKS`` blocks up compute rounds
+    1-2 once per counter low byte and per 256-counter group; every message
+    must still equal block encryption of its explicit counter blocks (run
+    through all rounds per block) XOR the data, on both sides of the size
+    cut, from counters that start and end on and off group boundaries."""
+
+    LENGTHS = [
+        1, 15, 16, 17, 4095, 4096, 4097,
+        16 * (_ROUND_CACHE_MIN_BLOCKS - 1),
+        16 * _ROUND_CACHE_MIN_BLOCKS - 1,
+        (1 << 20) + 5,
+    ]
+
+    @pytest.mark.parametrize("key_size", [16, 32])
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("first", [0, 1, 255, 256, 0xFFFF, "last"])
+    def test_equals_block_encryption_of_the_counters(self, key_size, length, first):
+        rng = DeterministicRandom(f"cached rounds/{key_size}/{length}")
+        key, nonce = rng.bytes(key_size), rng.bytes(12)
+        data = np.frombuffer(rng.bytes(length), dtype=np.uint8)
+        n_blocks = -(-length // 16)
+        if first == "last":  # the last block takes counter 2**32 - 1
+            first = (1 << 32) - n_blocks
+        expected = aes_encrypt_blocks(key, _counter_blocks(nonce, first, n_blocks))
+        expected = expected.reshape(-1)[:length] ^ data
+        np.testing.assert_array_equal(aes_ctr_transform(key, nonce, data, first), expected)
+
+    def test_out_receives_the_transform(self):
+        rng = DeterministicRandom(b"ctr out")
+        key, nonce = rng.bytes(32), rng.bytes(12)
+        data = np.frombuffer(rng.bytes(16 * _ROUND_CACHE_MIN_BLOCKS + 9), dtype=np.uint8)
+        expected = aes_ctr_transform(key, nonce, data, 3)
+        out = np.zeros(data.size, dtype=np.uint8)
+        assert aes_ctr_transform(key, nonce, data, 3, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        # The data buffer itself may take the result.
+        in_place = data.copy()
+        assert aes_ctr_transform(key, nonce, in_place, 3, out=in_place) is in_place
+        np.testing.assert_array_equal(in_place, expected)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.zeros(99, dtype=np.uint8),
+            np.zeros(101, dtype=np.uint8),
+            np.zeros(100, dtype=np.uint16),
+            np.zeros((10, 10), dtype=np.uint8),
+            np.zeros(0, dtype=np.uint8),
+            bytearray(100),
+        ],
+        ids=["short", "long", "uint16", "2d", "empty", "bytearray"],
+    )
+    def test_out_of_the_wrong_size_or_dtype_is_rejected(self, out):
+        with pytest.raises(ParameterError, match="out must be"):
+            aes_ctr_transform(bytes(32), bytes(12), bytes(100), out=out)
+
+    def test_read_only_out_is_rejected(self):
+        out = np.zeros(100, dtype=np.uint8)
+        out.setflags(write=False)
+        with pytest.raises(ParameterError, match="out must be"):
+            aes_ctr_transform(bytes(32), bytes(12), bytes(100), out=out)
 
 
 class TestRfc8439FullBlock:

@@ -251,15 +251,21 @@ def check_aes(phase: Phase, seed: int, iterations: int) -> None:
     must equal the sequential reference (schedules are pure functions of the
     key, so a mid-flight clear may only cost a rebuild, never a byte).  The
     message spans two full round chunks and a partial one, so threads
-    interleave inside the chunk loop."""
+    interleave inside the chunk loop.  It runs from counter 0 and from a
+    counter that is not 256-aligned, so on the cached rounds 1-2 path the
+    threads also interleave on a message that starts and ends inside a
+    256-counter group."""
     rng = np.random.default_rng(seed + 1)
     key = bytes(rng.integers(0, 256, size=32, dtype=np.uint8))
     nonce = bytes(rng.integers(0, 256, size=12, dtype=np.uint8))
     length = (2 * aes._CHUNK_BLOCKS + 3) * aes.BLOCK_SIZE + 5
     data = bytes(rng.integers(0, 256, size=length, dtype=np.uint8))
+    starts = (0, 0x1F3)
 
     aes.clear_key_caches()
-    reference = aes.aes_ctr_transform(key, nonce, data).tobytes()
+    references = {
+        start: aes.aes_ctr_transform(key, nonce, data, start).tobytes() for start in starts
+    }
 
     stop = threading.Event()
     mismatches: list[str] = []
@@ -267,10 +273,11 @@ def check_aes(phase: Phase, seed: int, iterations: int) -> None:
 
     def hammer() -> None:
         for i in range(iterations):
-            out = aes.aes_ctr_transform(key, nonce, data).tobytes()
-            if out != reference:
+            start = starts[i % len(starts)]
+            out = aes.aes_ctr_transform(key, nonce, data, start).tobytes()
+            if out != references[start]:
                 with result_lock:
-                    mismatches.append(f"iter {i}")
+                    mismatches.append(f"iter {i} (counter {start:#x})")
 
     def chaos() -> None:
         while not stop.is_set():
