@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.crypto.drbg import DeterministicRandom
 from repro.crypto.registry import BreakTimeline, global_registry
 from repro.errors import KeyManagementError, ParameterError
-from repro.secretsharing.verifiable import ProactiveVSS
+from repro.secretsharing.verifiable import ProactiveVSS, deal_key_limbs, join_key_limbs
 from repro.security import redact_secret
 
 
@@ -132,10 +132,6 @@ class KeyManager:
 
     # -- escrow into DPSS groups -------------------------------------------------------------
 
-    #: Limb width for VSS escrow: 15 bytes = 120 bits, always below the
-    #: 126+-bit group order, so limbs round-trip exactly.
-    ESCROW_LIMB_BYTES = 15
-
     def escrow_to_vss(self, object_id: str, n: int, t: int) -> list[ProactiveVSS]:
         """Share the current key into proactive VSS committees -- the
         'key plane is ITS even though the data plane is cheap' pattern.
@@ -144,21 +140,8 @@ class KeyManager:
         ~127-bit group), one committee per limb; all committees renew
         together under the caller's epoch schedule.
         """
-        key = self.current(object_id)
-        groups: list[ProactiveVSS] = []
-        for offset in range(0, len(key.material), self.ESCROW_LIMB_BYTES):
-            limb = key.material[offset : offset + self.ESCROW_LIMB_BYTES]
-            group = ProactiveVSS(n, t)
-            group.initialize(int.from_bytes(limb, "big"), self.rng)
-            groups.append(group)
-        return groups
+        return deal_key_limbs(self.current(object_id).material, n, t, self.rng)
 
     def recover_from_vss(self, groups: list[ProactiveVSS]) -> bytes:
         """Inverse of :meth:`escrow_to_vss` (works after any renewals)."""
-        material = b""
-        remaining = self.key_size
-        for group in groups:
-            limb_len = min(self.ESCROW_LIMB_BYTES, remaining)
-            material += group.reconstruct().to_bytes(limb_len, "big")
-            remaining -= limb_len
-        return material
+        return join_key_limbs((group.reconstruct() for group in groups), self.key_size)

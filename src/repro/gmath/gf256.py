@@ -150,40 +150,10 @@ class GF256:
     # -- vectorized operations ---------------------------------------------
 
     @staticmethod
-    def as_array(data: bytes | bytearray | np.ndarray) -> np.ndarray:
-        """View *data* as a uint8 numpy array without copying when possible."""
-        if isinstance(data, np.ndarray):
-            if data.dtype != np.uint8:
-                raise ParameterError("GF(256) arrays must be uint8")
-            return data
-        return np.frombuffer(bytes(data), dtype=np.uint8)
-
-    @staticmethod
-    def add_vec(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
-        """Elementwise addition of uint8 arrays (XOR)."""
-        return np.bitwise_xor(a, b)
-
-    # Subtraction is the same operation; alias for readable call sites.
-    sub_vec = add_vec
-
-    @staticmethod
-    def mul_vec(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
-        """Elementwise multiplication via the 64 KiB product table."""
-        _metrics.inc("gf256_vec_ops_total")
-        return _MUL_TABLE[a, b]
-
-    @staticmethod
     def scalar_mul_vec(scalar: int, vec: np.ndarray) -> np.ndarray:
         """Multiply every element of *vec* by *scalar* (one table row)."""
         _metrics.inc("gf256_vec_ops_total")
         return _MUL_TABLE[scalar][vec]
-
-    @staticmethod
-    def inv_vec(a: np.ndarray) -> np.ndarray:
-        """Elementwise inverse; zero entries raise."""
-        if np.any(a == 0):
-            raise ZeroDivisionError("0 has no inverse in GF(256)")
-        return _INV_TABLE[a]
 
     @staticmethod
     def poly_eval_vec(coeffs: list[np.ndarray], x: int) -> np.ndarray:
@@ -203,7 +173,3 @@ class GF256:
         _metrics.inc("gf256_vec_bytes_total", acc.size * len(coeffs))
         return acc
 
-
-def gf256_dot(vector: np.ndarray, matrix_col: np.ndarray) -> int:
-    """Dot product of two small uint8 vectors in GF(256) (scalar result)."""
-    return int(np.bitwise_xor.reduce(_MUL_TABLE[vector, matrix_col]))

@@ -370,21 +370,6 @@ def interpolate_rows(
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _lagrange_zero_cached(xs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(int(v) for v in _lagrange_matrix_cached(xs, (0,))[0])
-
-
-def lagrange_zero_plan(xs: tuple[int, ...]) -> tuple[int, ...]:
-    """Lagrange coefficients at zero, cached by the xs tuple.
-
-    The scalar-protocol twin of :func:`lagrange_matrix_plan`: callers that
-    combine share *scalars* (leakage masks, redistribution) want plain ints.
-    """
-    _metrics.inc("codec_plan_requests_total", plan="lagrange-zero")
-    return _lagrange_zero_cached(xs)
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _rs_decode_cached(xs: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
     width = len(xs)
     inverse = _vandermonde_inverse_cached(xs, width)
@@ -421,7 +406,6 @@ _PLAN_FUNCTIONS = {
     "vandermonde_plan": _vandermonde_cached,
     "vandermonde_inverse_plan": _vandermonde_inverse_cached,
     "lagrange_matrix_plan": _lagrange_matrix_cached,
-    "lagrange_zero_plan": _lagrange_zero_cached,
     "rs_decode_plan": _rs_decode_cached,
     "packed_mul_tables": _packed_tables,
 }

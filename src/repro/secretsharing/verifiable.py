@@ -30,6 +30,7 @@ the integrity property Section 3.3 demands of share renewal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.crypto.commitments import PedersenCommitment
 from repro.crypto.drbg import DeterministicRandom
@@ -285,6 +286,40 @@ class ProactiveVSS:
             deals_rejected=len(rejected),
             rejected_dealers=tuple(rejected),
         )
+
+
+# -- key escrow in 15-byte limbs -----------------------------------------------------
+
+#: Key limb width for VSS escrow: 15 bytes = 120 bits, below the group's
+#: 126+-bit order, so an honest limb round-trips exactly.
+KEY_LIMB_BYTES = 15
+
+
+def deal_key_limbs(
+    key: bytes, n: int, t: int, rng: DeterministicRandom
+) -> list[ProactiveVSS]:
+    """Share *key* into one (n, t) :class:`ProactiveVSS` committee per limb,
+    dealt in limb order from *rng*."""
+    groups = []
+    for offset in range(0, len(key), KEY_LIMB_BYTES):
+        group = ProactiveVSS(n, t)
+        group.initialize(int.from_bytes(key[offset : offset + KEY_LIMB_BYTES], "big"), rng)
+        groups.append(group)
+    return groups
+
+
+def join_key_limbs(limbs: Iterable[int], key_length: int) -> bytes:
+    """The *key_length*-byte key whose limbs reconstructed to *limbs*.
+
+    Each value is reduced to its limb's width.  Honest limbs already fit;
+    shares from different renewal epochs reconstruct an arbitrary group
+    element, which yields a wrong key rather than an overflow.
+    """
+    key = b""
+    for offset, value in zip(range(0, key_length, KEY_LIMB_BYTES), limbs):
+        width = min(KEY_LIMB_BYTES, key_length - offset)
+        key += (value % (1 << (8 * width))).to_bytes(width, "big")
+    return key
 
 
 register_primitive(

@@ -10,7 +10,6 @@
   the paper's Section 3.2 numbers (Oak Ridge, ECMWF, CERN, Pergamum).
 - ``simulator`` -- a discrete-event cross-check of the analytic model with
   ingest/read contention.
-- ``failures`` -- failure schedules and availability accounting.
 - ``faults`` -- deterministic fault injection (seeded FaultPlans over
   wrapped nodes), retry/backoff policies, and degraded-read reports.
 - ``tiering`` -- hot/warm/cold tier registry bound to the media catalog,

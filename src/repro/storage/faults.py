@@ -44,12 +44,10 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "FaultyNode",
-    "InjectedFault",
     "RetryPolicy",
     "default_retry_policy",
     "flaky_first_reads",
     "injected_latency",
-    "outage_rules_from_windows",
     "silent_bitrot",
     "transient_outage",
 ]
@@ -152,38 +150,7 @@ def injected_latency(
     )
 
 
-def outage_rules_from_windows(
-    windows: list[tuple[str, int, int]], ops_per_epoch: int = 1
-) -> list[FaultRule]:
-    """Convert epoch downtime windows (from
-    :meth:`repro.storage.failures.FailureSchedule.downtime_windows`) into
-    op-ordinal outage rules, assuming *ops_per_epoch* gets per node/epoch."""
-    if ops_per_epoch < 1:
-        raise ParameterError("ops_per_epoch must be >= 1")
-    return [
-        FaultRule(
-            kind="outage",
-            node_id=node_id,
-            first_op=start * ops_per_epoch,
-            last_op=end * ops_per_epoch - 1,
-        )
-        for node_id, start, end in windows
-        if end > start
-    ]
-
-
 # -- the plan and the node proxy ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InjectedFault:
-    """One fault the plan actually fired (the plan's audit log)."""
-
-    ordinal: int
-    kind: str
-    node_id: str
-    op: str
-    object_id: str
 
 
 class FaultPlan:
@@ -206,7 +173,6 @@ class FaultPlan:
         #: Deadline injected latency is judged against (priced for a 1 MiB
         #: op on the Pergamum disk profile by default).
         self.deadline_s = deadline_s if deadline_s is not None else op_deadline_s(1 << 20)
-        self.injected: list[InjectedFault] = []
         self._op_ordinal: dict[tuple[str, str], int] = {}
         self._read_attempts: dict[tuple[str, str], int] = {}
         self._rotted: set[tuple[int, str, str]] = set()
@@ -258,21 +224,21 @@ class FaultPlan:
                     rule.last_op is None or ordinal <= rule.last_op
                 )
                 if in_window:
-                    self._record(rule.kind, node, op, object_id, ordinal)
+                    _metrics.inc("faults_injected_total", kind="outage")
                     raise NodeUnavailableError(
                         f"injected outage: node {node.node_id} unavailable "
                         f"({op} {object_id}, op #{ordinal})"
                     )
             elif rule.kind == "flaky":
                 if op == "get" and attempt <= rule.fail_reads:
-                    self._record(rule.kind, node, op, object_id, ordinal)
+                    _metrics.inc("faults_injected_total", kind="flaky")
                     raise NodeUnavailableError(
                         f"injected flaky read #{attempt} of {object_id} "
                         f"on node {node.node_id}"
                     )
             elif rule.kind == "latency":
                 self._pending_wait_s += rule.latency_s
-                self._record(rule.kind, node, op, object_id, ordinal)
+                _metrics.inc("faults_injected_total", kind="latency")
                 if rule.latency_s > self.deadline_s:
                     raise DeadlineExceededError(
                         f"injected latency {rule.latency_s:.3f}s exceeds "
@@ -285,7 +251,7 @@ class FaultPlan:
                     self._rotted.add(key)
                     clean = node.raw_bytes(object_id)
                     node.corrupt_object(object_id, self._rot(clean))
-                    self._record(rule.kind, node, op, object_id, ordinal)
+                    _metrics.inc("faults_injected_total", kind="bitrot")
 
     def _rot(self, data: bytes) -> bytes:
         """Flip one seeded bit -- the minimal silent corruption."""
@@ -296,20 +262,6 @@ class FaultPlan:
         rotted = bytearray(data)
         rotted[position] ^= bit
         return bytes(rotted)
-
-    def _record(
-        self, kind: str, node: StorageNode, op: str, object_id: str, ordinal: int
-    ) -> None:
-        self.injected.append(
-            InjectedFault(
-                ordinal=ordinal,
-                kind=kind,
-                node_id=node.node_id,
-                op=op,
-                object_id=object_id,
-            )
-        )
-        _metrics.inc("faults_injected_total", kind=kind)
 
 
 class FaultyNode:
@@ -328,9 +280,9 @@ class FaultyNode:
         self.fault_plan.before_op(self._inner, "get", object_id)
         return self._inner.get(object_id)
 
-    def put(self, object_id: str, data: bytes, epoch: int = 0) -> None:
+    def put(self, object_id: str, data: bytes) -> None:
         self.fault_plan.before_op(self._inner, "put", object_id)
-        self._inner.put(object_id, data, epoch=epoch)
+        self._inner.put(object_id, data)
 
     @property
     def online(self) -> bool:

@@ -32,7 +32,6 @@ class StoredObject:
     object_id: str
     data: bytes
     digest: str
-    epoch_stored: int
 
     def __len__(self) -> int:
         return len(self.data)
@@ -41,8 +40,7 @@ class StoredObject:
         # `data` is ciphertext/share material: never in reprs (ARCH010).
         return (
             f"StoredObject(object_id={self.object_id!r}, "
-            f"data={redact_secret(self.data)}, digest={self.digest!r}, "
-            f"epoch_stored={self.epoch_stored})"
+            f"data={redact_secret(self.data)}, digest={self.digest!r})"
         )
 
 
@@ -56,7 +54,7 @@ class NodeStats:
 
 
 class StorageNode:
-    """One storage site run by one provider in one region.
+    """One storage site run by one provider.
 
     *tier* is the storage tier this node's medium belongs to (a name from a
     :class:`repro.storage.tiering.TierRegistry`, e.g. its hot/warm/cold
@@ -68,12 +66,10 @@ class StorageNode:
         self,
         node_id: str,
         provider: str,
-        region: str = "unknown",
         tier: str | None = None,
     ):
         self.node_id = node_id
         self.provider = provider
-        self.region = region
         self.tier = tier
         self.online = True
         self._objects: dict[str, StoredObject] = {}
@@ -83,13 +79,10 @@ class StorageNode:
 
     # -- basic object store ----------------------------------------------------
 
-    def put(self, object_id: str, data: bytes, epoch: int = 0) -> None:
+    def put(self, object_id: str, data: bytes) -> None:
         self._require_online(f"put {object_id}")
         self._objects[object_id] = StoredObject(
-            object_id=object_id,
-            data=bytes(data),
-            digest=sha256_hex(data),
-            epoch_stored=epoch,
+            object_id=object_id, data=bytes(data), digest=sha256_hex(data)
         )
         self.stats.puts += 1
         self.stats.bytes_written += len(data)
@@ -215,10 +208,6 @@ def make_node_fleet(
     """
     providers = providers or [f"provider-{chr(ord('a') + i)}" for i in range(count)]
     return [
-        StorageNode(
-            node_id=f"{prefix}-{i}",
-            provider=providers[i % len(providers)],
-            region=f"region-{i % 5}",
-        )
+        StorageNode(node_id=f"{prefix}-{i}", provider=providers[i % len(providers)])
         for i in range(count)
     ]

@@ -26,11 +26,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs import metrics as _metrics
-from repro.storage.faults import (
-    DegradedReadReport,
-    RetryPolicy,
-    default_retry_policy,
-)
+from repro.storage.faults import DegradedReadReport, default_retry_policy
 from repro.storage.node import StorageNode
 from repro.storage.tiering import TierSpec
 
@@ -52,7 +48,6 @@ class PlacementPolicy:
         self,
         nodes: list[StorageNode],
         require_distinct_providers: bool = True,
-        retry_policy: RetryPolicy | None = None,
         retry_seed: bytes | int | str = b"placement-backoff",
     ):
         if not nodes:
@@ -61,7 +56,7 @@ class PlacementPolicy:
         if len(self.nodes) != len(nodes):
             raise ParameterError("duplicate node ids")
         self.require_distinct_providers = require_distinct_providers
-        self.retry_policy = retry_policy or default_retry_policy()
+        self.retry_policy = default_retry_policy()
         # Backoff jitter comes from a seeded rng owned by the policy object,
         # so two identically-seeded runs replay the same delays.
         self._retry_rng = DeterministicRandom(retry_seed)
@@ -168,7 +163,7 @@ class PlacementPolicy:
                 _metrics.inc("tier_shares_placed_total", tier=tier)
         return Placement(object_id, {index: node.node_id for index, _, node in picks})
 
-    def store(self, placement: Placement, payload_by_share: dict[int, bytes], epoch: int = 0) -> None:
+    def store(self, placement: Placement, payload_by_share: dict[int, bytes]) -> None:
         for index, node_id in placement.node_by_share.items():
             if index not in payload_by_share:
                 raise ParameterError(f"no payload for share index {index}")
@@ -176,12 +171,9 @@ class PlacementPolicy:
                 self.node(node_id),
                 share_key(placement.object_id, index),
                 payload_by_share[index],
-                epoch=epoch,
             )
 
-    def put_with_retry(
-        self, node: StorageNode, object_id: str, data: bytes, epoch: int = 0
-    ) -> None:
+    def put_with_retry(self, node: StorageNode, object_id: str, data: bytes) -> None:
         """Store one object, retrying transient unavailability with backoff."""
 
         def on_retry(attempt: int, delay_s: float, exc: Exception) -> None:
@@ -189,7 +181,7 @@ class PlacementPolicy:
             _metrics.observe("storage_backoff_delay_seconds", delay_s)
 
         self.retry_policy.call(
-            lambda: node.put(object_id, data, epoch=epoch),
+            lambda: node.put(object_id, data),
             self._retry_rng,
             on_retry=on_retry,
         )

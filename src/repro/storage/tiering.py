@@ -220,7 +220,6 @@ def make_tiered_fleet(
     each tier, and nodes are ordered hottest tier first.
     """
     registry = registry or default_tier_registry()
-    nodes: list[StorageNode] = []
     for name in registry.names:
         count = counts.get(name, 0)
         if count < 0:
@@ -230,17 +229,11 @@ def make_tiered_fleet(
         raise StorageError(
             f"unknown tier(s) {', '.join(sorted(unknown))} in fleet counts"
         )
-    serial = 0
-    for name in registry.names:
-        for k in range(counts.get(name, 0)):
-            node = StorageNode(
-                node_id=f"{prefix}-{name}-{k}",
-                provider=f"provider-{name}-{k}",
-                region=f"region-{serial % 5}",
-                tier=name,
-            )
-            nodes.append(node)
-            serial += 1
+    nodes = [
+        StorageNode(node_id=f"{prefix}-{name}-{k}", provider=f"provider-{name}-{k}", tier=name)
+        for name in registry.names
+        for k in range(counts.get(name, 0))
+    ]
     if not nodes:
         raise ParameterError("tiered fleet needs at least one node")
     return nodes
@@ -369,11 +362,10 @@ class TierMigrator:
         self,
         registry: TierRegistry | None = None,
         policy: MigrationPolicy | None = None,
-        tracker: AccessTracker | None = None,
     ):
         self.registry = registry or default_tier_registry()
         self.policy = policy or MigrationPolicy()
-        self.tracker = tracker or AccessTracker(decay=self.policy.decay)
+        self.tracker = AccessTracker(decay=self.policy.decay)
         #: object id -> tier name (the authoritative assignment map).
         self.assignments: dict[str, str] = {}
         self.archive = None

@@ -162,7 +162,7 @@ class ArchiveSafeLT(ArchivalSystem):
             new_payload = self._frame(len(self._key_history[object_id]), new_body)
             for index, node_id in receipt.placement.node_by_share.items():
                 node = self.placement_policy.node(node_id)
-                node.put(share_key(object_id, index), new_payload, epoch=epoch)
+                node.put(share_key(object_id, index), new_payload)
                 bytes_written += len(new_body)
             receipt.metadata["layers"] = [
                 name for name, _, _ in self._key_history[object_id]

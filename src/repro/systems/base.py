@@ -180,9 +180,7 @@ class ArchivalSystem(abc.ABC):
                 )
             )
         delivered = self.transit.receive(transmission)
-        self.placement_policy.put_with_retry(
-            node, share_key(object_id, index), delivered, epoch=self.epoch
-        )
+        self.placement_policy.put_with_retry(node, share_key(object_id, index), delivered)
 
     def _store_shares(
         self, placement: Placement, payload_by_index: dict[int, bytes]

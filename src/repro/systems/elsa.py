@@ -26,11 +26,8 @@ from repro.crypto.aes import AesCtrCipher
 from repro.crypto.registry import BreakTimeline
 from repro.errors import DecodingError, ParameterError
 from repro.gmath.reedsolomon import ReedSolomonCode, Shard
-from repro.secretsharing.verifiable import ProactiveVSS
+from repro.secretsharing.verifiable import ProactiveVSS, deal_key_limbs, join_key_limbs
 from repro.systems.base import ArchivalSystem, StoreReceipt
-
-#: VSS escrow limb width (see KeyManager.ESCROW_LIMB_BYTES rationale).
-_LIMB = 15
 
 
 class ElsaStyleArchive(ArchivalSystem):
@@ -54,23 +51,6 @@ class ElsaStyleArchive(ArchivalSystem):
 
     # -- key plane -------------------------------------------------------------------
 
-    def _deal_key(self, key: bytes) -> list[ProactiveVSS]:
-        groups = []
-        for offset in range(0, len(key), _LIMB):
-            group = ProactiveVSS(self.committee_n, self.committee_t)
-            group.initialize(int.from_bytes(key[offset : offset + _LIMB], "big"), self.rng)
-            groups.append(group)
-        return groups
-
-    def _recover_key(self, object_id: str) -> bytes:
-        key = b""
-        remaining = 32
-        for group in self._key_groups[object_id]:
-            limb_len = min(_LIMB, remaining)
-            key += group.reconstruct().to_bytes(limb_len, "big")
-            remaining -= limb_len
-        return key
-
     def renew_key_plane(self) -> None:
         """Proactive renewal of every object's key committee -- note the
         cost: a few scalar messages per object, independent of object size.
@@ -86,7 +66,7 @@ class ElsaStyleArchive(ArchivalSystem):
         key = self.rng.bytes(32)
         nonce = self.rng.bytes(12)
         ciphertext = self.cipher.encrypt(key, nonce, data)
-        groups = self._deal_key(key)
+        groups = deal_key_limbs(key, self.committee_n, self.committee_t, self.rng)
         payloads = {shard.index: shard.data for shard in self.code.encode(ciphertext)}
         metadata = {
             "n": self.code.n,
@@ -111,7 +91,8 @@ class ElsaStyleArchive(ArchivalSystem):
         # committee is not touched.
         ciphertext, rebuilt = self._ciphertext(receipt, shards, regenerate)
         nonce = bytes.fromhex(receipt.metadata["nonce"])
-        key = self._recover_key(receipt.object_id)
+        groups = self._key_groups[receipt.object_id]
+        key = join_key_limbs((group.reconstruct() for group in groups), self.cipher.key_size)
         return self.cipher.decrypt(key, nonce, ciphertext), rebuilt
 
     def _ciphertext(self, receipt: StoreReceipt, shards: dict[int, bytes], regenerate=()):
@@ -151,22 +132,13 @@ class ElsaStyleArchive(ArchivalSystem):
 
         if stolen_key_shares and len(stolen_key_shares) >= self.committee_t:
             # Threshold compromise of the key committee: reconstruct the key
-            # the honest way -- no cryptanalysis involved.
-            groups = self._key_groups[object_id]
-            key = b""
-            remaining = 32
-            for limb_index, group in enumerate(groups):
-                limb_shares = [
-                    shares[limb_index] for shares in stolen_key_shares.values()
-                ]
-                limb_len = min(_LIMB, remaining)
-                value = group.vss.reconstruct(limb_shares)
-                # Honest limbs always fit (15 bytes < q); a stale/mixed haul
-                # reconstructs an arbitrary group element -- truncate rather
-                # than crash, since garbage-in is the expected outcome.
-                value %= 1 << (8 * limb_len)
-                key += value.to_bytes(limb_len, "big")
-                remaining -= limb_len
+            # the honest way -- no cryptanalysis involved.  A stale or mixed
+            # haul joins to a wrong key, not an error.
+            limbs = (
+                group.vss.reconstruct([shares[i] for shares in stolen_key_shares.values()])
+                for i, group in enumerate(self._key_groups[object_id])
+            )
+            key = join_key_limbs(limbs, self.cipher.key_size)
             return self.cipher.decrypt(key, nonce, ciphertext)
 
         # Otherwise: harvested ciphertext waits for the cipher to fall.

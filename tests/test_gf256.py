@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.gmath.gf256 import GF256, gf256_dot
+from repro.gmath.gf256 import GF256
 
 element = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -95,14 +95,6 @@ class TestEdgeCases:
 
 
 class TestVectorized:
-    def test_mul_vec_matches_scalar(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(0, 256, 512, dtype=np.uint8)
-        b = rng.integers(0, 256, 512, dtype=np.uint8)
-        got = GF256.mul_vec(a, b)
-        for x, y, z in zip(a, b, got):
-            assert GF256.mul(int(x), int(y)) == int(z)
-
     def test_scalar_mul_vec(self):
         rng = np.random.default_rng(2)
         vec = rng.integers(0, 256, 256, dtype=np.uint8)
@@ -110,30 +102,6 @@ class TestVectorized:
             got = GF256.scalar_mul_vec(scalar, vec)
             for x, z in zip(vec, got):
                 assert GF256.mul(scalar, int(x)) == int(z)
-
-    def test_inv_vec_matches_scalar(self):
-        vec = np.arange(1, 256, dtype=np.uint8)
-        got = GF256.inv_vec(vec)
-        for x, z in zip(vec, got):
-            assert GF256.inv(int(x)) == int(z)
-
-    def test_inv_vec_rejects_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            GF256.inv_vec(np.array([1, 0, 2], dtype=np.uint8))
-
-    def test_add_vec_is_xor(self):
-        a = np.array([1, 2, 255], dtype=np.uint8)
-        b = np.array([255, 2, 255], dtype=np.uint8)
-        assert list(GF256.add_vec(a, b)) == [254, 0, 0]
-
-    def test_as_array_roundtrip(self):
-        data = bytes(range(256))
-        arr = GF256.as_array(data)
-        assert arr.tobytes() == data
-
-    def test_as_array_rejects_wrong_dtype(self):
-        with pytest.raises(ParameterError):
-            GF256.as_array(np.zeros(4, dtype=np.uint16))
 
     def test_poly_eval_vec_constant(self):
         c = np.array([7, 8, 9], dtype=np.uint8)
@@ -154,11 +122,3 @@ class TestVectorized:
     def test_poly_eval_vec_rejects_empty(self):
         with pytest.raises(ParameterError):
             GF256.poly_eval_vec([], 1)
-
-    def test_gf256_dot(self):
-        a = np.array([1, 2, 3], dtype=np.uint8)
-        b = np.array([4, 5, 6], dtype=np.uint8)
-        expected = 0
-        for x, y in zip(a, b):
-            expected = GF256.add(expected, GF256.mul(int(x), int(y)))
-        assert gf256_dot(a, b) == expected

@@ -31,7 +31,7 @@ from repro.errors import StillSecureError
 from repro.integrity.auditor import ChainAuditor
 from repro.integrity.timestamp import MerkleChainVerifier
 from repro.obs import use_registry
-from repro.storage.faults import FaultPlan, FaultRule
+from repro.storage.faults import FaultPlan, FaultRule, injected_latency
 from repro.storage.node import make_node_fleet
 from repro.systems import AontRsArchive, CloudProviderArchive, Lincos
 
@@ -258,7 +258,6 @@ def test_shares_oracle_changes_nothing_a_later_call_sees():
     def observable():
         return (
             [(vars(node.stats).copy(), list(node.compromise_epochs)) for node in fleet],
-            list(plan.injected),
             plan.drain_wait_s(),  # latency accrued since the last drain
         )
 
@@ -312,3 +311,23 @@ def test_renewal_and_signer_rollover_keep_memory_at_live_data():
     auditor.register(archive.signer_history[-1])
     verdict = auditor.audit(archive.chain, BreakTimeline(), now_epoch=archive.epoch)
     assert verdict.valid, verdict.explain()
+
+
+def test_fault_plan_memory_stays_flat_as_faults_fire():
+    # A fault's record is its counter and the error it raised; the plan
+    # keeps no per-fault log.
+    plan = FaultPlan([injected_latency("node-0", latency_s=1e-3)])
+    (node,) = plan.wrap_fleet(make_node_fleet(1))
+    node.put("doc", b"x")
+
+    def retained_after(faults):
+        for _ in range(faults):
+            node.get("doc")
+        plan.drain_wait_s()
+        return _retained_bytes(plan)
+
+    with use_registry() as registry:
+        at_1k = retained_after(1000)
+        at_2k = retained_after(1000)
+        assert registry.snapshot()["counters"]["faults_injected_total{kind=latency}"] == 2000
+    assert at_1k == at_2k, (at_1k, at_2k)

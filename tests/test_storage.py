@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.crypto.drbg import DeterministicRandom
 from repro.errors import (
     IntegrityError,
     NodeUnavailableError,
@@ -18,7 +17,6 @@ from repro.storage.archive_model import (
     reencryption_estimate,
     scaled_archive,
 )
-from repro.storage.failures import AvailabilityReport, FailureSchedule, survivable_loss
 from repro.storage.media import MEDIA_CATALOG, MediaSpec, rank_media_by_tco
 from repro.storage.node import StorageNode, make_node_fleet
 from repro.storage.placement import PlacementPolicy
@@ -286,41 +284,3 @@ class TestSimulator:
         with pytest.raises(ParameterError):
             simulate_reencryption(PAPER_ARCHIVES[3], reserve_fraction=1.0)
 
-
-class TestFailures:
-    def test_survivable_loss(self):
-        assert survivable_loss(5, 3) == 2
-        with pytest.raises(ParameterError):
-            survivable_loss(3, 4)
-
-    def test_schedule_fails_and_repairs(self):
-        fleet = make_node_fleet(10)
-        schedule = FailureSchedule(
-            fleet, failure_probability=0.5, repair_epochs=1,
-            rng=DeterministicRandom(0),
-        )
-        schedule.step()
-        offline_after_one = 10 - schedule.online_count()
-        assert offline_after_one > 0
-        schedule.step()
-        schedule.step()
-        kinds = {e.kind for e in schedule.events}
-        assert "offline" in kinds and "repair" in kinds
-
-    def test_zero_probability_never_fails(self):
-        fleet = make_node_fleet(5)
-        schedule = FailureSchedule(fleet, 0.0, rng=DeterministicRandom(1))
-        for _ in range(10):
-            schedule.step()
-        assert schedule.online_count() == 5
-
-    def test_availability_report(self):
-        report = AvailabilityReport(objects_total=10, objects_available=9)
-        assert report.availability == pytest.approx(0.9)
-        assert AvailabilityReport(0, 0).availability == 1.0
-
-    def test_parameters_validated(self):
-        with pytest.raises(ParameterError):
-            FailureSchedule(make_node_fleet(2), 1.5)
-        with pytest.raises(ParameterError):
-            FailureSchedule(make_node_fleet(2), 0.5, repair_epochs=0)

@@ -62,7 +62,6 @@ EXERCISED = {
     "repro.gmath.kernel._vandermonde_cached": "kernel phase: concurrent plan builds + clears",
     "repro.gmath.kernel._vandermonde_inverse_cached": "kernel phase: concurrent plan builds + clears",
     "repro.gmath.kernel._lagrange_matrix_cached": "kernel phase: concurrent plan builds + clears",
-    "repro.gmath.kernel._lagrange_zero_cached": "kernel phase: concurrent plan builds + clears",
     "repro.gmath.kernel._rs_decode_cached": "kernel phase: concurrent plan builds + clears",
     "repro.gmath.kernel._packed_tables": "kernel phase: packed matmuls race cache clears",
     "repro.gmath.kernel._POOL": "kernel phase: worker-count sweep rebuilds the pool",
