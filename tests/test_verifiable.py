@@ -4,13 +4,16 @@ import pytest
 
 from repro.crypto.drbg import DeterministicRandom
 from repro.errors import ParameterError, VerificationError
-from repro.gmath.primes import generate_schnorr_group
+from repro.gmath.primes import default_group, generate_schnorr_group
 from repro.secretsharing.verifiable import (
+    KEY_LIMB_BYTES,
     FeldmanShare,
     FeldmanVSS,
     PedersenShare,
     PedersenVSS,
     ProactiveVSS,
+    deal_key_limbs,
+    join_key_limbs,
 )
 
 
@@ -162,3 +165,75 @@ class TestProactiveVss:
         pv.renew(rng)
         pv.renew(rng)
         assert pv.epoch == 2
+
+
+def _joined(groups, key_length):
+    return join_key_limbs((group.reconstruct() for group in groups), key_length)
+
+
+class TestKeyLimbs:
+    """Key escrow: one ProactiveVSS committee per KEY_LIMB_BYTES limb."""
+
+    def test_limb_fits_below_the_group_order(self):
+        assert 8 * KEY_LIMB_BYTES < default_group().q.bit_length()
+
+    @pytest.mark.parametrize("length", [1, 15, 16, 30, 32, 45])
+    def test_round_trip(self, rng, length):
+        key = bytes((0xFF - i) % 256 for i in range(length))
+        groups = deal_key_limbs(key, 5, 3, rng)
+        assert len(groups) == -(-length // KEY_LIMB_BYTES)
+        assert all((group.n, group.t) == (5, 3) for group in groups)
+        assert _joined(groups, length) == key
+
+    def test_leading_zero_bytes_survive(self, rng):
+        key = bytes(14) + b"\x01" + bytes(16) + b"\x02"
+        assert _joined(deal_key_limbs(key, 4, 2, rng), len(key)) == key
+
+    def test_key_survives_renewal(self, rng):
+        key = bytes(range(32))
+        groups = deal_key_limbs(key, 5, 3, rng)
+        for _ in range(2):
+            for group in groups:
+                assert group.renew(rng).deals_rejected == 0
+        assert _joined(groups, len(key)) == key
+
+    def test_limbs_are_dealt_in_order_from_one_rng(self):
+        key = bytes(range(1, 33))
+        dealt_rng = DeterministicRandom(b"limbs")
+        groups = deal_key_limbs(key, 5, 3, dealt_rng)
+        manual_rng = DeterministicRandom(b"limbs")
+        for offset, group in zip(range(0, len(key), KEY_LIMB_BYTES), groups):
+            expected = ProactiveVSS(5, 3)
+            limb = key[offset : offset + KEY_LIMB_BYTES]
+            expected.initialize(int.from_bytes(limb, "big"), manual_rng)
+            assert group.shares() == expected.shares()
+            assert group.commitments == expected.commitments
+        assert dealt_rng.bytes(16) == manual_rng.bytes(16)
+
+    @pytest.mark.parametrize(
+        "limbs, key_length, expected",
+        [
+            ([(3 << 120) | 0xAB], 15, bytes(14) + b"\xab"),
+            ([(1 << 120) + 5, (1 << 8) + 7], 16, bytes(14) + b"\x05\x07"),
+            ([1 << 200, (1 << 120) - 1], 30, bytes(15) + b"\xff" * 15),
+        ],
+        ids=["one-limb", "short-last-limb", "two-full-limbs"],
+    )
+    def test_join_reduces_each_limb_to_its_width(self, limbs, key_length, expected):
+        assert join_key_limbs(limbs, key_length) == expected
+
+    def test_mixed_epoch_shares_join_to_a_wrong_key(self, rng):
+        # A haul from two renewal epochs reconstructs an arbitrary group
+        # element per limb: the join yields a wrong key, not an overflow.
+        key = bytes(range(32))
+        groups = deal_key_limbs(key, 5, 3, rng)
+        stale = [group.shares() for group in groups]
+        for group in groups:
+            group.renew(rng)
+        limbs = [
+            group.vss.reconstruct([old[1], old[2], group.shares()[3]])
+            for group, old in zip(groups, stale)
+        ]
+        assert any(value >> (8 * KEY_LIMB_BYTES) for value in limbs)
+        joined = join_key_limbs(limbs, len(key))
+        assert len(joined) == len(key) and joined != key
