@@ -18,7 +18,6 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -123,17 +122,20 @@ class SecureArchive(ArchivalSystem):
     def enable_tiering(self, migrator=None):
         """Turn on tiered placement and policy-driven migration.
 
-        Call after construction, before the first store, on a fleet built
-        with :func:`repro.storage.tiering.make_tiered_fleet` (nodes carry
-        tier labels).  The *migrator* (a default-policy
-        :class:`repro.storage.tiering.TierMigrator` when omitted) is bound
-        to this archive -- migration rides the proactive-renewal pipeline
-        -- and becomes the placement policy's ``tiering`` handle, so stores
-        honor per-share tier layouts, fetches try hot media first, and every
-        user read feeds the access counters.  Returns the bound migrator.
+        Call after construction, before the first store (an archive that
+        holds objects raises :class:`ParameterError`: an object's tier is
+        set when its store commits), on a fleet built with
+        :func:`repro.storage.tiering.make_tiered_fleet` (nodes carry tier
+        labels).  The *migrator* (a default-policy
+        :class:`repro.storage.tiering.TierMigrator` when omitted) becomes
+        the placement policy's ``tiering`` handle, so stores honor per-share
+        tier layouts, fetches try hot media first, and every client read
+        feeds the access counters.  Returns the bound migrator.
         """
         from repro.storage.tiering import TierMigrator
 
+        if self._receipts:
+            raise ParameterError("enable tiering before the first store")
         migrator = migrator or TierMigrator()
         migrator.bind(self, data_shares=self.policy.t)
         return migrator
@@ -211,7 +213,11 @@ class SecureArchive(ArchivalSystem):
         # Hash-based signers are finite-use; a long ingest stream must not
         # crash mid-epoch when the key budget runs out.
         self._rollover_signer_if_needed()
-        return self._commit(object_id, data, *(encoded or self._encode(object_id, data)))
+        receipt = self._commit(object_id, data, *(encoded or self._encode(object_id, data)))
+        if self.tiering is not None:
+            # Only a committed store gets a tier: a failed one leaves none.
+            self.tiering.admit(object_id)
+        return receipt
 
     def _encode(self, object_id, data):
         return self._encoded(self._scheme.split(data, self.rng))
@@ -339,8 +345,8 @@ class SecureArchive(ArchivalSystem):
         Fetching stays sequential (placement retry state is shared); each
         object's decode goes to the thread pool as soon as its shares are
         fetched, so it overlaps the next object's fetch.  Repair-on-read
-        runs sequentially afterwards with each object's own degraded-read
-        report restored.  A fetch that raises ends the batch once the
+        runs sequentially afterwards against each object's own
+        degraded-read report.  A fetch that raises ends the batch once the
         decodes already submitted have finished.
         """
         object_ids = list(object_ids)
@@ -351,8 +357,7 @@ class SecureArchive(ArchivalSystem):
                 for object_id in object_ids:
                     _metrics.inc("archive_ops_total", op="retrieve")
                     receipt = self.receipt(object_id)
-                    fetched = self._fetch_shares(receipt, need=self._quorum(receipt))
-                    report = self.last_read_report
+                    fetched, report = self._fetch_for_read(receipt)
                     decode = pool.submit(
                         self._checked_decode, receipt, fetched, report.repair_candidates
                     )
@@ -360,8 +365,7 @@ class SecureArchive(ArchivalSystem):
                 decoded = [decode.result() for _, _, decode in pending]
             results = []
             for (receipt, report, _), (data, rebuilt) in zip(pending, decoded):
-                self.last_read_report = report
-                data = self._finish_read(receipt, data, rebuilt)
+                data = self._finish_read(receipt, report, data, rebuilt)
                 _metrics.inc("archive_retrieve_bytes_total", len(data))
                 results.append(data)
         _metrics.observe_host(
@@ -498,9 +502,8 @@ class SecureArchive(ArchivalSystem):
         for renewal or planned to move is re-split once, in store order and
         straight into its target tier, and counts for each duty it served.
         An object whose placement falls short is deferred for each of them,
-        and the epoch completes.  Maintenance reads run with the access
-        tracker suspended, so background traffic never counts as user
-        demand.  Chain renewal runs last.
+        and the epoch completes.  Maintenance reads record no demand and
+        publish no read report.  Chain renewal runs last.
         """
         with self._client_lock:
             return self._advance_epoch()
@@ -520,36 +523,35 @@ class SecureArchive(ArchivalSystem):
             tiering = self.tiering
             plan = tiering.run_epoch(self.epoch) if tiering is not None else {}
             due = [oid for oid in self._receipts if renew or oid in plan]
-            with self._maintenance_reads():
-                for object_id in due:
-                    target = plan.get(object_id)
-                    try:
-                        written = self._renew_object(object_id, target)
-                    except PlacementShortfallError:
-                        # Nothing was deleted: the old shares still read,
-                        # and a later epoch retries.  Placement walks every
-                        # tier, so it falls short for the target tier
-                        # exactly when it would for the current one.
-                        if renew:
-                            _metrics.inc(
-                                "maintenance_deferred_total", op="renew", reason="placement"
-                            )
-                            report.renewals_deferred.append(object_id)
-                        if target is not None:
-                            _metrics.inc(
-                                "maintenance_deferred_total", op="migrate", reason="placement"
-                            )
-                            report.migrations_deferred.append(object_id)
-                        continue
+            for object_id in due:
+                target = plan.get(object_id)
+                try:
+                    written = self._renew_object(object_id, target)
+                except PlacementShortfallError:
+                    # Nothing was deleted: the old shares still read, and a
+                    # later epoch retries.  Placement walks every tier, so
+                    # it falls short for the target tier exactly when it
+                    # would for the current one.
                     if renew:
-                        report.objects_renewed += 1
-                        report.renewal_bytes += written
+                        _metrics.inc(
+                            "maintenance_deferred_total", op="renew", reason="placement"
+                        )
+                        report.renewals_deferred.append(object_id)
                     if target is not None:
-                        report.migration_bytes += written
-                        if tiering.record_move(object_id, target, written):
-                            report.objects_promoted += 1
-                        else:
-                            report.objects_demoted += 1
+                        _metrics.inc(
+                            "maintenance_deferred_total", op="migrate", reason="placement"
+                        )
+                        report.migrations_deferred.append(object_id)
+                    continue
+                if renew:
+                    report.objects_renewed += 1
+                    report.renewal_bytes += written
+                if target is not None:
+                    report.migration_bytes += written
+                    if tiering.record_move(object_id, target, written):
+                        report.objects_promoted += 1
+                    else:
+                        report.objects_demoted += 1
             _metrics.inc("archive_renewed_objects_total", report.objects_renewed)
             _metrics.inc("archive_renewal_bytes_total", report.renewal_bytes)
             if tiering is not None:
@@ -558,13 +560,6 @@ class SecureArchive(ArchivalSystem):
             self.authority.renew_chain(self.chain, self.epoch)
             report.chain_renewed = True
             return report
-
-    def _maintenance_reads(self):
-        """Context under which maintenance reads run: access tracking
-        suspended (background reads are not demand); a no-op untiered."""
-        if self.tiering is not None:
-            return self.tiering.tracker.suspended()
-        return nullcontext()
 
     @profiled(name="archive.renew_object")
     def _renew_object(self, object_id: str, tier: str | None) -> int:

@@ -107,9 +107,9 @@ class GF256:
 
         Deliberately unmetered: protocol code (matrix inversion, Lagrange
         plans) calls this O(k^3) times per operation, and a registry
-        round-trip per scalar op dominated the pure-Python paths.  Callers
-        aggregate into ``gf256_scalar_ops_total`` at their boundaries
-        (see :mod:`repro.gmath.kernel` and :class:`FieldMatrix`).
+        round-trip per scalar op dominated the pure-Python paths.  The
+        plans built from it are counted per lookup instead
+        (``codec_plan_requests_total``, see :mod:`repro.gmath.kernel`).
         """
         if a == 0 or b == 0:
             return 0

@@ -313,8 +313,7 @@ def vandermonde_plan(xs: tuple[int, ...], width: int) -> np.ndarray:
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _vandermonde_inverse_cached(xs: tuple[int, ...], width: int) -> np.ndarray:
-    matrix = FieldMatrix.vandermonde(GF256, list(xs), width).inverse(record=False)
-    return _freeze(matrix.rows)
+    return _freeze(FieldMatrix.vandermonde(GF256, list(xs), width).inverse().rows)
 
 
 def vandermonde_inverse_plan(xs: tuple[int, ...], width: int) -> np.ndarray:
@@ -369,31 +368,6 @@ def interpolate_rows(
     return gf256_matmul(lagrange_matrix_plan(xs, targets), rows_as_matrix(rows))
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _rs_decode_cached(xs: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
-    width = len(xs)
-    inverse = _vandermonde_inverse_cached(xs, width)
-    evaluate = _vandermonde_cached(targets, width)
-    composed = FieldMatrix(GF256, evaluate.tolist()).matmul(
-        FieldMatrix(GF256, inverse.tolist()), record=False
-    )
-    return _freeze(composed.rows)
-
-
-def rs_decode_plan(xs: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
-    """One matrix taking surviving codeword rows straight to the rows at
-    *targets*: message rows at the systematic points, and the shard at any
-    other codeword point.
-
-    Composes the cached Vandermonde inverse (codeword rows -> coefficient
-    rows) with re-evaluation at the targets (coefficient rows -> target
-    rows).  Field arithmetic is exact, so folding the two steps into one
-    matmul is byte-identical to running them separately.
-    """
-    _metrics.inc("codec_plan_requests_total", plan="rs-decode")
-    return _rs_decode_cached(xs, targets)
-
-
 def _freeze(rows: list[list[int]]) -> np.ndarray:
     array = np.array(rows, dtype=np.uint8)
     array.setflags(write=False)
@@ -406,7 +380,6 @@ _PLAN_FUNCTIONS = {
     "vandermonde_plan": _vandermonde_cached,
     "vandermonde_inverse_plan": _vandermonde_inverse_cached,
     "lagrange_matrix_plan": _lagrange_matrix_cached,
-    "rs_decode_plan": _rs_decode_cached,
     "packed_mul_tables": _packed_tables,
 }
 

@@ -11,23 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import DecodingError, ParameterError
-from repro.obs import metrics as _metrics
-
-
-def _record_scalar_ops(field, count: int) -> None:
-    """Aggregate GF(256) scalar-op accounting once per matrix operation.
-
-    ``GF256.mul``/``div`` are unmetered (a registry round-trip per scalar
-    op dominated the O(n^3) pure-Python paths); matrix routines record one
-    aggregated count at their call boundary instead, keeping the
-    ``gf256_scalar_ops_total`` snapshot key stable.  Prime-field matrices
-    are not counted under the GF(256) key.  Callers running inside a
-    memoized build (the kernel's plan caches) pass ``record=False``:
-    metrics that fire only on a cache miss would make two identically
-    seeded runs produce different snapshots.
-    """
-    if getattr(field, "order", None) == 256:
-        _metrics.inc("gf256_scalar_ops_total", count)
 
 
 class FieldMatrix:
@@ -79,10 +62,9 @@ class FieldMatrix:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def matvec(self, vec: Sequence[int], record: bool = True) -> list[int]:
+    def matvec(self, vec: Sequence[int]) -> list[int]:
         f = self.field
-        n_rows, n_cols = self.shape
-        if len(vec) != n_cols:
+        if len(vec) != self.shape[1]:
             raise ParameterError("matvec dimension mismatch")
         out = []
         for row in self.rows:
@@ -90,11 +72,9 @@ class FieldMatrix:
             for a, b in zip(row, vec):
                 acc = f.add(acc, f.mul(a, b))
             out.append(acc)
-        if record:
-            _record_scalar_ops(f, n_rows * n_cols)
         return out
 
-    def matmul(self, other: "FieldMatrix", record: bool = True) -> "FieldMatrix":
+    def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
         f = self.field
         n, k = self.shape
         k2, m = other.shape
@@ -109,11 +89,9 @@ class FieldMatrix:
                     acc = f.add(acc, f.mul(self.rows[i][t], other.rows[t][j]))
                 row.append(acc)
             rows.append(row)
-        if record:
-            _record_scalar_ops(f, n * m * k)
         return FieldMatrix(f, rows)
 
-    def inverse(self, record: bool = True) -> "FieldMatrix":
+    def inverse(self) -> "FieldMatrix":
         """Gauss-Jordan inversion; raises DecodingError if singular."""
         f = self.field
         n, m = self.shape
@@ -136,10 +114,6 @@ class FieldMatrix:
                 aug[r] = [
                     f.sub(v, f.mul(factor, p)) for v, p in zip(aug[r], aug[col])
                 ]
-        # One aggregated count for the whole Gauss-Jordan elimination
-        # (~2n^3 multiplies over the n x 2n augmented matrix).
-        if record:
-            _record_scalar_ops(f, 2 * n * n * n)
         return FieldMatrix(f, [row[n:] for row in aug])
 
     def solve(self, rhs: Sequence[int]) -> list[int]:

@@ -31,7 +31,6 @@ from repro.gmath.kernel import (
     interpolate_rows,
     lagrange_matrix_plan,
     rows_as_matrix,
-    rs_decode_plan,
     vandermonde_inverse_plan,
     vandermonde_plan,
 )
@@ -186,11 +185,9 @@ class ReedSolomonCode:
                 return rows, rows[:0]
             return rows, interpolate_rows(xs, payload, rebuild_points)
         _metrics.inc("rs_decode_path_total", path="interpolated")
-        # One cached plan takes surviving codeword rows straight to message
-        # rows (evaluate at systematic points) o (Vandermonde inverse), and
-        # on to the rebuilt shards' rows.
-        plan = rs_decode_plan(xs, tuple(self.points[: self.k]) + rebuild_points)
-        decoded = gf256_matmul(plan, rows_as_matrix(payload))
+        # One Lagrange plan takes the surviving codeword rows straight to
+        # the message rows (the systematic points) and the rebuilt shards'.
+        decoded = interpolate_rows(xs, payload, tuple(self.points[: self.k]) + rebuild_points)
         return decoded[: self.k], decoded[self.k :]
 
     def _select_shards(self, shards: list[Shard]) -> list[Shard]:

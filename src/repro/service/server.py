@@ -294,16 +294,13 @@ class ArchiveService:
     def _note_rejected_demand(self, request: Request) -> None:
         """Rejected retrieves are still demand the tier migrator should see.
 
-        Admitted requests are recorded by the placement layer on the real
-        fetch, so only rejections are recorded here -- no double counting.
+        An admitted retrieve records its demand in the archive's client
+        read, so only rejections are recorded here -- no double counting.
         A shed read is a strong promotion signal: the object was wanted
         while the archive had no capacity to serve it.
         """
-        if request.op != "retrieve":
-            return
-        tiering = self.archive.placement_policy.tiering
-        if tiering is not None:
-            tiering.tracker.record(request.object_id)
+        if request.op == "retrieve":
+            self.archive.record_demand(request.object_id)
 
     def _drain_started(self, now_s: float) -> None:
         """Drop queued entries whose service has started by *now_s*."""

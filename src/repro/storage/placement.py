@@ -67,8 +67,9 @@ class PlacementPolicy:
     def tiering(self):
         """The bound tier migrator (repro.storage.tiering.TierMigrator) on a
         tiered archive, installed by its ``bind``: it gives each share its
-        target tier, its registry orders fetches and prices reads, and its
-        tracker counts every object fetch.  None: the fleet is untiered."""
+        target tier, and its registry orders fetches and prices reads.
+        Placement and fetches change none of its state.  None: the fleet is
+        untiered."""
         return self._tiering
 
     @tiering.setter
@@ -156,8 +157,6 @@ class PlacementPolicy:
             taken.add(node_key)
             picks.append((index, tier, node))
         self._rotation += 1
-        if tiering:
-            tiering.admit(object_id)
         for _, tier, _ in picks:
             if tier is not None:
                 _metrics.inc("tier_shares_placed_total", tier=tier)
@@ -228,10 +227,6 @@ class PlacementPolicy:
             object_id=placement.object_id,
             shares_total=len(placement.node_by_share),
         )
-        if self.tiering is not None:
-            # One record per object fetch: real demand, fed to the tier
-            # migrator's decayed access counters.
-            self.tiering.tracker.record(placement.object_id)
 
         def on_retry(attempt: int, delay_s: float, exc: Exception) -> None:
             _metrics.inc("fetch_retries_total")

@@ -16,16 +16,17 @@ supplies the three pieces:
   registry (enforced by archlint rule ARCH007): no hard-coded tier strings,
   no reaching into ``MEDIA_CATALOG`` behind the registry's back.
 - :class:`AccessTracker` -- exponentially decayed per-object access
-  counters, fed by :meth:`repro.storage.placement.PlacementPolicy.fetch_degraded`
-  (every real read) and by the service layer (rejected demand the archive
-  never saw).  Maintenance reads -- renewal, repair, migration itself --
-  run under :meth:`AccessTracker.suspended` so background traffic never
-  masquerades as user demand.
+  counters.  Demand reaches them through one writer,
+  :meth:`repro.systems.base.ArchivalSystem.record_demand`, called by every
+  client read and by the service layer for rejected reads the archive never
+  saw.  Maintenance reads -- renewal, migration itself -- fetch without it,
+  so background traffic never masquerades as user demand.
 - :class:`TierMigrator` -- the policy engine.  Bound to an archive
   (:meth:`bind` / ``SecureArchive.enable_tiering``), it assigns every
-  object a tier (new objects start hottest), computes the per-share tier
-  layout placement uses (the decode quorum rides the object's tier, parity
-  rides the coldest tier), and on each epoch tick plans which objects move:
+  object a tier (an object starts hottest once its store commits),
+  computes the per-share tier layout placement uses (the decode quorum
+  rides the object's tier, parity rides the coldest tier), and on each
+  epoch tick plans which objects move:
   one tier hotter when the decayed score clears ``promote_score``, one
   tier colder when idle past ``demote_idle_epochs``.  The migrator moves
   nothing itself.  The archive's maintenance pass rewrites each object at
@@ -43,11 +44,10 @@ seeded runs produce byte-identical assignments (pinned by
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.errors import ObjectNotFoundError, ParameterError, StorageError
+from repro.errors import ParameterError, StorageError
 from repro.obs import metrics as _metrics
 from repro.storage.archive_model import ArchiveProfile, op_service_time_s
 from repro.storage.media import MEDIA_CATALOG, MediaSpec
@@ -256,7 +256,8 @@ class AccessTracker:
     current epoch (``score <- score * decay^elapsed + weight``), so one
     number captures both frequency and recency.  The tracker carries its
     own epoch cursor (:meth:`advance_to`), advanced by the migrator, so
-    feeders (placement, the service layer) never need epoch plumbing.
+    feeders (the archive's client reads, the service layer) never need
+    epoch plumbing.
     """
 
     def __init__(self, decay: float = 0.5):
@@ -265,30 +266,16 @@ class AccessTracker:
         self.decay = decay
         self.epoch = 0
         self._records: dict[str, _AccessRecord] = {}
-        self._suspended = 0
 
     def advance_to(self, epoch: int) -> None:
         if epoch < self.epoch:
             raise ParameterError("the epoch clock cannot run backwards")
         self.epoch = epoch
 
-    @contextmanager
-    def suspended(self):
-        """Ignore records inside the block: maintenance reads (renewal,
-        repair, migration) are not user demand and must not keep an object
-        artificially hot."""
-        self._suspended += 1
-        try:
-            yield self
-        finally:
-            self._suspended -= 1
-
     def record(self, object_id: str, weight: float = 1.0) -> None:
         """One access of *object_id* at the current epoch."""
         if weight < 0:
             raise ParameterError("access weight must be >= 0")
-        if self._suspended:
-            return
         record = self._records.setdefault(object_id, _AccessRecord())
         elapsed = self.epoch - record.score_epoch
         record.score = record.score * self.decay**elapsed + weight
@@ -348,10 +335,12 @@ class TierMigrator:
     Bind to an archive with :meth:`bind` (or, for the facade,
     ``SecureArchive.enable_tiering``); the archive's placement policy then
     reaches tiering through this migrator alone -- :meth:`layout_for` on
-    every store/renewal/repair, the registry for fetch order and read
-    pricing, the tracker for demand.  Each epoch the archive asks
-    :meth:`run_epoch` for a plan (object id -> target tier, one step per
-    object), rewrites every due or planned object once in its own
+    every store and rewrite, the registry for fetch order and read
+    pricing.  The migrator holds no reference to the archive; the archive
+    reports to it: :meth:`admit` once a store commits, :meth:`forget` on
+    delete, and the tracker on each client read.  Each epoch the archive
+    asks :meth:`run_epoch` for a plan (object id -> target tier, one step
+    per object), rewrites every due or planned object once in its own
     maintenance pass -- retrieve, re-split into the target tier's layout,
     replace -- and reports each move that landed to :meth:`record_move`.
     A move is therefore also a re-encryption under fresh randomness, and
@@ -368,7 +357,8 @@ class TierMigrator:
         self.tracker = AccessTracker(decay=self.policy.decay)
         #: object id -> tier name (the authoritative assignment map).
         self.assignments: dict[str, str] = {}
-        self.archive = None
+        #: The bound fleet's node id -> node map, which occupancy reads.
+        self._nodes: dict[str, StorageNode] = {}
         #: Shares (the decode quorum) riding the object's own tier; set by bind.
         self._data_shares: int | None = None
         #: Moves the last plan left for a later tick (the per-tick cap).
@@ -378,21 +368,15 @@ class TierMigrator:
     # -- wiring ------------------------------------------------------------------
 
     def bind(self, archive, data_shares: int) -> None:
-        """Attach to *archive*: migration needs its renewal pipeline, and its
-        placement policy reaches tiering through this migrator.  The first
-        *data_shares* share indices (the decode quorum) ride the object's
-        tier; the rest, the parity, ride the coldest, which is what lets a
-        hot object's reads stop at fast media while its durability margin
-        sits on cheap media."""
-        if not hasattr(archive, "_renew_object"):
-            raise ParameterError(
-                "tier migration rides the proactive-renewal pipeline; "
-                f"{type(archive).__name__} has no _renew_object"
-            )
+        """Become *archive*'s placement policy's tiering handle, keeping only
+        its fleet's node map.  The first *data_shares* share indices (the
+        decode quorum) ride the object's tier; the rest, the parity, ride
+        the coldest, which is what lets a hot object's reads stop at fast
+        media while its durability margin sits on cheap media."""
         if data_shares < 1:
             raise ParameterError("bind needs data_shares >= 1 (the decode quorum)")
-        self.archive = archive
         self._data_shares = data_shares
+        self._nodes = archive.placement_policy.nodes
         archive.placement_policy.tiering = self
 
     # -- placement integration ----------------------------------------------------
@@ -414,12 +398,11 @@ class TierMigrator:
         }
 
     def admit(self, object_id: str) -> None:
-        """Placement succeeded: an object placed for the first time starts on
-        the hottest tier, and its ingest counts as an access (new data is
-        hot data)."""
-        if object_id not in self.assignments:
-            self.assignments[object_id] = self.registry.hottest.name
-            self.tracker.record(object_id)
+        """The archive committed a store of *object_id*: it starts on the
+        hottest tier, and its ingest counts as an access (new data is hot
+        data)."""
+        self.assignments[object_id] = self.registry.hottest.name
+        self.tracker.record(object_id)
 
     def forget(self, object_id: str) -> None:
         """Drop all tiering state for a deleted object."""
@@ -431,8 +414,9 @@ class TierMigrator:
     def run_epoch(self, epoch: int) -> dict[str, str]:
         """Plan one epoch's moves: object id -> target tier.
 
-        Advances the access clock to *epoch* and forgets objects the
-        archive no longer holds.  An object moves at most one tier per tick
+        Advances the access clock to *epoch*.  Every assigned object is one
+        the archive holds: it is admitted once its store commits and
+        forgotten on delete.  An object moves at most one tier per tick
         (a demotion ladder, not a cliff): warmer when its decayed score
         clears ``promote_score``, colder when idle past
         ``demote_idle_epochs``.  Objects are planned in sorted id order up
@@ -440,19 +424,13 @@ class TierMigrator:
         here: the archive rewrites each planned object and calls
         :meth:`record_move` once its new shares have landed.
         """
-        if self.archive is None:
+        if self._data_shares is None:
             raise ParameterError("migrator is not bound (call bind/enable_tiering)")
         self.tracker.advance_to(epoch)
         cap = self.policy.max_migrations_per_tick
         plan: dict[str, str] = {}
         self._skipped = 0
-        for object_id in sorted(self.assignments):
-            try:
-                self.archive.receipt(object_id)
-            except ObjectNotFoundError:
-                self.forget(object_id)
-                continue
-            current = self.assignments[object_id]
+        for object_id, current in sorted(self.assignments.items()):
             rank = self.registry.rank(current)
             if self.tracker.score(object_id) >= self.policy.promote_score and rank > 0:
                 target = self.registry.warmer(current)
@@ -499,11 +477,10 @@ class TierMigrator:
         for tier in self.assignments.values():
             objects[tier] = objects.get(tier, 0) + 1
         stored = {name: 0 for name in self.registry.names}
-        if self.archive is not None:
-            for node in self.archive.placement_policy.nodes.values():
-                tier = getattr(node, "tier", None) or self.registry.hottest.name
-                if tier in stored:
-                    stored[tier] += node.bytes_stored
+        for node in self._nodes.values():
+            tier = getattr(node, "tier", None) or self.registry.hottest.name
+            if tier in stored:
+                stored[tier] += node.bytes_stored
         return {
             name: {"objects": objects[name], "bytes_stored": stored[name]}
             for name in self.registry.names

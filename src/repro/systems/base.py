@@ -141,7 +141,8 @@ class ArchivalSystem(abc.ABC):
         self._receipts: dict[str, StoreReceipt] = {}
         self._plaintext_bytes = 0
         self.epoch = 0
-        #: Degraded-read report of the most recent fetch (None before any).
+        #: Degraded-read report of the most recent client read (None before
+        #: any); maintenance fetches leave it alone.
         self.last_read_report: DegradedReadReport | None = None
 
     # -- transit -------------------------------------------------------------------
@@ -244,28 +245,46 @@ class ArchivalSystem(abc.ABC):
             written += 1
         return written
 
+    def record_demand(self, object_id: str) -> None:
+        """Count one client access of *object_id* toward its tier; nothing on
+        an untiered archive.  The tier migrator's access counters hear of
+        nothing else, so maintenance traffic never heats an object."""
+        tiering = self.placement_policy.tiering
+        if tiering is not None:
+            tiering.tracker.record(object_id)
+
+    def _fetch_for_read(
+        self, receipt: StoreReceipt
+    ) -> tuple[dict[int, bytes], DegradedReadReport]:
+        """A client read's fetch: record the demand, fetch up to the quorum
+        and publish the fetch's report as :attr:`last_read_report`.  The
+        read's decode regenerates the shares the report lists as corrupted
+        or missing, and :meth:`_finish_read` rewrites them."""
+        self.record_demand(receipt.object_id)
+        shares, report = self.placement_policy.fetch_degraded(
+            receipt.placement, need=self._quorum(receipt)
+        )
+        self.last_read_report = report
+        return shares, report
+
     def _fetch_shares(
         self, receipt: StoreReceipt, need: int | None = None
     ) -> dict[int, bytes]:
-        """Degraded-read fetch: stop once *need* decodable shares arrived.
-
-        The per-fetch :class:`DegradedReadReport` lands in
-        :attr:`last_read_report`; a read's decode regenerates the shares it
-        lists as corrupted or missing, and :meth:`_finish_read` rewrites
-        them.
-        """
-        shares, report = self.placement_policy.fetch_degraded(
-            receipt.placement, need=need
-        )
-        self.last_read_report = report
-        return shares
+        """Maintenance fetch (renewal, migration, redistribution): stop once
+        *need* decodable shares arrived.  It records no demand and
+        publishes no read report."""
+        return self.placement_policy.fetch_degraded(receipt.placement, need=need)[0]
 
     def _finish_read(
-        self, receipt: StoreReceipt, data: bytes, rebuilt: dict[int, bytes]
+        self,
+        receipt: StoreReceipt,
+        report: DegradedReadReport,
+        data: bytes,
+        rebuilt: dict[int, bytes],
     ) -> bytes:
         """Post-decode step of every read: repair-on-read rewrites the
         *rebuilt* shares, the ones the fetch found rotted or missing, in
-        place.
+        place, and counts them in the read's *report*.
 
         A put that still fails after its retries is deferred, not raised:
         the read has already decoded, the shares it did not rewrite and the
@@ -279,14 +298,12 @@ class ArchivalSystem(abc.ABC):
         if rewritten < len(rebuilt):
             _metrics.inc("maintenance_deferred_total", op="repair", reason="put")
         else:
-            self.last_read_report.shares_repaired = rewritten
+            report.shares_repaired = rewritten
         return data
 
-    def retrieve_with_report(
-        self, object_id: str
-    ) -> tuple[bytes, DegradedReadReport | None]:
-        """Retrieve plus the degraded-read report of that retrieval."""
-        self.last_read_report = None
+    def retrieve_with_report(self, object_id: str) -> tuple[bytes, DegradedReadReport]:
+        """Retrieve plus the degraded-read report of that retrieval (every
+        client read publishes its report through :meth:`_fetch_for_read`)."""
         data = self.retrieve(object_id)
         return data, self.last_read_report
 
@@ -332,9 +349,9 @@ class ArchivalSystem(abc.ABC):
         """Fetch shares up to the quorum, decode the object and repair the
         shares the fetch found rotted or missing."""
         receipt = self.receipt(object_id)
-        shares = self._fetch_shares(receipt, need=self._quorum(receipt))
-        damaged = self.last_read_report.repair_candidates
-        return self._finish_read(receipt, *self._checked_decode(receipt, shares, damaged))
+        shares, report = self._fetch_for_read(receipt)
+        decoded = self._checked_decode(receipt, shares, report.repair_candidates)
+        return self._finish_read(receipt, report, *decoded)
 
     def receipt(self, object_id: str) -> StoreReceipt:
         try:

@@ -209,19 +209,20 @@ class TestPlanCaches:
             (5, 3): DeterministicRandom(b"mix-b").bytes(799),
             (7, 2): DeterministicRandom(b"mix-c").bytes(251),
         }
+        passes = []
         for _ in range(2):  # second pass is all cache hits
             for (n, k), data in datasets.items():
                 code = ReedSolomonCode(n, k)
                 shards = code.encode(data)
                 for subset in list(combinations(shards, k))[:6]:
                     assert code.decode(list(subset), len(data)) == data
-        info = plan_cache_info()
-        assert info["lagrange_matrix_plan"]["hits"] > 0
-        # The second pass never rebuilds a decode plan: every survivor-set
-        # lookup lands in rs_decode_plan's cache (which is why the inverse
-        # cache sees only the first-pass misses).
-        assert info["rs_decode_plan"]["hits"] > 0
-        assert info["vandermonde_inverse_plan"]["misses"] > 0
+            passes.append(plan_cache_info()["lagrange_matrix_plan"])
+        first, second = passes
+        # The second pass never rebuilds a plan: every parity and
+        # survivor-set lookup lands in the Lagrange plan cache.
+        assert first["misses"] > 0
+        assert second["misses"] == first["misses"]
+        assert second["hits"] > first["hits"]
 
     def test_cached_plans_are_frozen_and_identical_across_calls(self):
         clear_plan_caches()

@@ -33,16 +33,19 @@ from repro.systems.pasis import PasisParameters
 #: repair-on-read began rebuilding the rotted share in place from the
 #: quorum the read decoded: each repair now sends that one share, draws no
 #: randomness and keeps the object's keys, where it used to re-encode the
-#: whole object.
+#: whole object.  "pasis-erasure" and "elsa" moved again when Reed-Solomon
+#: decode began building its plan as a Lagrange plan: the snapshot's
+#: ``codec_plan_requests_total{plan=rs-decode}`` folded into
+#: ``{plan=lagrange}``, and no byte, transcript or receipt moved.
 PINNED = {
     "archivesafelt": "e656b9c953244fd5ccaac7f62e0e2b90f6711c18d275df1b124cb14b62573168",
     "potshards": "b5764b559eb74dc3a9c383d4a402ef658329cda990d76463072f6d1e3517833c",
     "pasis-replication": "9c54fc956043061f530a95334b4d0ce49c60f0ad83a607bdbfe6c88054cb216a",
-    "pasis-erasure": "a887687e4839a64a1f2fdf621c4722616bf611204a7f7d820c6bed94c03708e4",
+    "pasis-erasure": "468cd3ba4eb4c7a1f84be40a27de2e5fc10e6b15b490bcea88338588376cc4d7",
     "pasis-shamir": "08bcbb18fe66b20e05a4aeae91af186eb4c1b0472f7aafbd8c5a478d7db205f7",
     "vsr": "26cf70d736640c772829520449a48a9472687967523073d6713699be7e37f7b0",
     "hasdpss": "8c5b3a1ec26d1d090278034e2dfb9c8a65da584634f20f69ea9c12d66fd0479e",
-    "elsa": "c15e92886539106ee7655bd131262636a8cb4a0369f89c1f900ba128a0e7aba9",
+    "elsa": "963f1f34a3d788cfd6a950e34e9ea9b564e7fa0fdf1c99c0016655e9a8868f9e",
 }
 
 SIZES = (100, 777, 4096)

@@ -30,8 +30,9 @@ from repro.core.policy import (
     ConfidentialityTarget,
 )
 from repro.crypto.drbg import DeterministicRandom
-from repro.errors import ParameterError, StorageError
+from repro.errors import NodeUnavailableError, ParameterError, StorageError
 from repro.obs.metrics import use_registry
+from repro.storage.faults import FaultPlan, FaultRule
 from repro.storage.tiering import (
     TIER_COLD,
     TIER_HOT,
@@ -181,16 +182,6 @@ class TestAccessTracker:
         tracker.advance_to(5)
         assert tracker.idle_epochs("obj") == 2
 
-    def test_suspended_records_nothing(self):
-        tracker = AccessTracker()
-        with tracker.suspended():
-            tracker.record("obj")
-            with tracker.suspended():  # nests
-                tracker.record("obj")
-        assert tracker.score("obj") == 0.0
-        tracker.record("obj")  # suspension lifted
-        assert tracker.score("obj") == 1.0
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             AccessTracker(decay=1.0)
@@ -269,6 +260,41 @@ class TestTieredPlacement:
         counters = registry.snapshot()["counters"]
         assert not any(name.startswith("tier_") for name in counters)
 
+    def test_failed_store_leaves_no_tier_state(self, registry):
+        # Every put to the first hot node fails: the store places, writes
+        # nothing and raises before it commits.
+        outage = FaultRule(kind="outage", op="put", node_id=f"node-{TIER_HOT}-0")
+        fleet = FaultPlan([outage], seed=b"failed put").wrap_fleet(
+            make_tiered_fleet(dict(FLEET_COUNTS))
+        )
+        archive = FastSignerArchive(TIERED_POLICY, fleet, DeterministicRandom(b"failed put"))
+        migrator = archive.enable_tiering()
+        with pytest.raises(NodeUnavailableError):
+            archive.store("obj", b"never committed")
+        # No assignment, no access score, no access counted.
+        assert migrator.assignments == {}
+        assert migrator.tracker.score("obj") == 0.0
+        counters = registry.snapshot()["counters"]
+        assert "tier_accesses_recorded_total" not in counters
+        assert archive.placement_policy.total_bytes_stored() == 0
+
+    def test_placement_and_fetches_change_no_tier_state(self, registry):
+        archive, migrator = make_tiered_archive()
+        archive.store("obj", b"placed and fetched again")
+        assignments = dict(migrator.assignments)
+        score = migrator.tracker.score("obj")
+        policy = archive.placement_policy
+        placement = archive.receipt("obj").placement
+        policy.place("other", sorted(placement.node_by_share))
+        policy.place("obj", sorted(placement.node_by_share), TIER_COLD)
+        shares, _ = policy.fetch_degraded(placement)
+        assert len(shares) == TIERED_POLICY.n
+        # Only the archive admits objects and records demand.
+        assert migrator.assignments == assignments == {"obj": TIER_HOT}
+        assert migrator.tracker.score("obj") == score
+        assert migrator.tracker.score("other") == 0.0
+        assert registry.snapshot()["counters"]["tier_accesses_recorded_total"] == 1
+
     def test_untiered_fleet_unaffected(self, registry):
         from repro.storage.node import make_node_fleet
 
@@ -344,6 +370,27 @@ class TestTierMigrator:
             assert report.objects_renewed == 1  # renewal does run...
         # ...but its internal reads never registered as demand.
         assert migrator.tier_of("obj") == TIER_COLD
+
+    def test_maintenance_leaves_the_client_read_report(self, registry):
+        archive, _ = make_tiered_archive(migration=MigrationPolicy(demote_idle_epochs=1))
+        archive.store("read", b"read by a client")
+        archive.store("moved", b"rewritten by maintenance")
+        _, read_report = archive.retrieve_with_report("read")
+        report = archive.advance_epoch()
+        # Both objects were fetched for their demotion...
+        assert report.objects_demoted == 2
+        # ...and neither fetch replaced the client's read report.
+        assert archive.last_read_report is read_report
+        assert read_report.object_id == "read"
+
+    def test_enable_tiering_after_a_store_raises(self):
+        archive = FastSignerArchive(
+            TIERED_POLICY, make_tiered_fleet(dict(FLEET_COUNTS)), DeterministicRandom(b"late")
+        )
+        archive.store("obj", b"stored untiered")
+        with pytest.raises(ParameterError, match="before the first store"):
+            archive.enable_tiering()
+        assert archive.tiering is None
 
     def test_renewal_and_demotion_share_one_rewrite(self):
         assert CENTURY_SAFE.renew_every_epochs == 1
@@ -426,8 +473,6 @@ class TestTierMigrator:
             migrator.run_epoch(1)
         with pytest.raises(ParameterError):
             migrator.layout_for([1, 2, 3], TIER_HOT)
-        with pytest.raises(ParameterError):
-            migrator.bind(object(), data_shares=3)  # no renewal pipeline
 
     def test_occupancy_gauges(self, registry):
         archive, migrator = make_tiered_archive()
